@@ -47,7 +47,8 @@ const std::vector<std::string> kFigures = {
     "fig15_capacitor",  "fig_spatial_map",  "table1_devices",
     "table2_comparison", "table3_ckpt_counts", "ablation_detection",
     "ablation_pruning", "ablation_wcet",    "extension_wearout",
-    "fault_campaign",   "campaign_runner",  "fig_adversarial"};
+    "fault_campaign",   "campaign_runner",  "fig_adversarial",
+    "fig_adaptive"};
 
 struct FigureResult {
     std::string figure;
@@ -70,6 +71,8 @@ struct FigureResult {
     /// Quantum-loop telemetry (schema v5; 0 for older records).
     double quanta = 0.0;
     double coalescedQuanta = 0.0;
+    /// Sleeping quanta (schema v8; 0 for older records).
+    double sleepQuanta = 0.0;
     bool ok = false;
 };
 
@@ -122,7 +125,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
     double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
     double totalCorrupted = 0.0, totalCrcRejects = 0.0,
            totalRetriesExhausted = 0.0;
-    double totalQuanta = 0.0, totalCoalesced = 0.0;
+    double totalQuanta = 0.0, totalCoalesced = 0.0, totalSleep = 0.0;
     int failures = 0;
     for (const FigureResult& r : results) {
         if (r.status != "pass")
@@ -135,6 +138,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         totalRetriesExhausted += r.retriesExhausted;
         totalQuanta += r.quanta;
         totalCoalesced += r.coalescedQuanta;
+        totalSleep += r.sleepQuanta;
     }
 
     // One backend name for the whole suite when every child agrees
@@ -169,6 +173,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
        << gecko::metrics::fmt(
               totalWall > 0 ? totalCycles / totalWall : 0.0, 0)
        << ",\"total_quanta\":" << static_cast<std::uint64_t>(totalQuanta)
+       << ",\"total_sleep_quanta\":"
+       << static_cast<std::uint64_t>(totalSleep)
        << ",\"total_coalesced_quanta\":"
        << static_cast<std::uint64_t>(totalCoalesced)
        << ",\"quanta_per_s\":"
@@ -204,6 +210,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
            << gecko::metrics::fmt(
                   r.wallS > 0 ? r.simCycles / r.wallS : 0.0, 0)
            << ",\"quanta\":" << static_cast<std::uint64_t>(r.quanta)
+           << ",\"sleep_quanta\":"
+           << static_cast<std::uint64_t>(r.sleepQuanta)
            << ",\"coalesced_quanta\":"
            << static_cast<std::uint64_t>(r.coalescedQuanta)
            << ",\"exec_backend\":\""
@@ -374,6 +382,8 @@ main(int argc, char** argv)
         r.quanta = jsonNumber(childJson, "quanta").value_or(0.0);
         r.coalescedQuanta =
             jsonNumber(childJson, "coalesced_quanta").value_or(0.0);
+        r.sleepQuanta =
+            jsonNumber(childJson, "sleep_quanta").value_or(0.0);
 
         if (baseline && r.ok) {
             std::cerr << "[bench_all] " << fig << " (serial) ... "

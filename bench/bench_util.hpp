@@ -95,6 +95,8 @@ struct Telemetry {
     /// simulated, and the subset the coalescing fast path absorbed.
     std::atomic<std::uint64_t> quanta{0};
     std::atomic<std::uint64_t> coalescedQuanta{0};
+    /// Quanta stepped while sleeping (schema v8).
+    std::atomic<std::uint64_t> sleepQuanta{0};
     /// Checkpoint-integrity defence counters (runtime::RuntimeStats)
     /// accumulated across every victim run of the process.
     std::atomic<std::uint64_t> corruptedRestores{0};
@@ -262,6 +264,8 @@ writeBenchReport(const std::string& figure, const std::string& status = "")
     report.quanta = telemetry().quanta.load(std::memory_order_relaxed);
     report.coalescedQuanta =
         telemetry().coalescedQuanta.load(std::memory_order_relaxed);
+    report.sleepQuanta =
+        telemetry().sleepQuanta.load(std::memory_order_relaxed);
     report.figureData = telemetry().figureData;
     {
         std::lock_guard<std::mutex> lock(telemetry().mutex);
@@ -404,6 +408,8 @@ runVictim(const VictimConfig& vc, const attack::InjectionRig* rig,
                                  std::memory_order_relaxed);
     telemetry().coalescedQuanta.fetch_add(
         simulation.stats.coalescedQuanta, std::memory_order_relaxed);
+    telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
+                                      std::memory_order_relaxed);
     noteRuntimeStats(simulation.geckoRuntime().stats);
     return out;
 }
@@ -430,6 +436,8 @@ noteSimRun(sim::IntermittentSim& simulation)
                                  std::memory_order_relaxed);
     telemetry().coalescedQuanta.fetch_add(
         simulation.stats.coalescedQuanta, std::memory_order_relaxed);
+    telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
+                                      std::memory_order_relaxed);
 }
 
 /**

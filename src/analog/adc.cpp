@@ -1,7 +1,6 @@
 #include "analog/adc.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace gecko::analog {
 
@@ -9,17 +8,6 @@ Adc::Adc(int bits, double fullScaleV)
     : bits_(bits), fullScaleV_(fullScaleV),
       maxCode_((1u << bits) - 1u)
 {
-}
-
-std::uint32_t
-Adc::sample(double v) const
-{
-    if (v <= 0.0)
-        return 0;
-    double code = std::floor(v / fullScaleV_ * (maxCode_ + 1u));
-    if (code >= maxCode_)
-        return maxCode_;
-    return static_cast<std::uint32_t>(code);
 }
 
 double

@@ -1,6 +1,7 @@
 #ifndef GECKO_ANALOG_ADC_HPP_
 #define GECKO_ANALOG_ADC_HPP_
 
+#include <cmath>
 #include <cstdint>
 
 /**
@@ -21,8 +22,19 @@ class Adc
      */
     Adc(int bits, double fullScaleV);
 
-    /** Convert an input voltage to a code (clamped to the range). */
-    std::uint32_t sample(double v) const;
+    /**
+     * Convert an input voltage to a code (clamped to the range).
+     * Inline: the ADC monitor converts once per simulated sample.
+     */
+    std::uint32_t sample(double v) const
+    {
+        if (v <= 0.0)
+            return 0;
+        double code = std::floor(v / fullScaleV_ * (maxCode_ + 1u));
+        if (code >= maxCode_)
+            return maxCode_;
+        return static_cast<std::uint32_t>(code);
+    }
 
     /** Convert a code back to the voltage at the code's lower edge. */
     double toVoltage(std::uint32_t code) const;

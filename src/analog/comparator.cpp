@@ -9,17 +9,4 @@ Comparator::Comparator(double referenceV, double hysteresisV,
 {
 }
 
-bool
-Comparator::evaluate(double v)
-{
-    if (high_) {
-        if (v < referenceV_ - halfBand_)
-            high_ = false;
-    } else {
-        if (v > referenceV_ + halfBand_)
-            high_ = true;
-    }
-    return high_;
-}
-
 }  // namespace gecko::analog

@@ -27,7 +27,17 @@ class Comparator
     Comparator(double referenceV, double hysteresisV, bool initialHigh);
 
     /** Evaluate the comparator for input voltage `v`. */
-    bool evaluate(double v);
+    bool evaluate(double v)
+    {
+        if (high_) {
+            if (v < referenceV_ - halfBand_)
+                high_ = false;
+        } else {
+            if (v > referenceV_ + halfBand_)
+                high_ = true;
+        }
+        return high_;
+    }
 
     /** Current output without re-evaluating. */
     bool output() const { return high_; }

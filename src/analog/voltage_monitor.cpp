@@ -4,17 +4,6 @@
 
 namespace gecko::analog {
 
-MonitorEvent
-VoltageMonitor::observeEnvelope(double low, double high)
-{
-    MonitorEvent trough = observe(low);
-    MonitorEvent crest = observe(high);
-    MonitorEvent ev;
-    ev.backup = trough.backup || crest.backup;
-    ev.wake = trough.wake || crest.wake;
-    return ev;
-}
-
 const char*
 monitorKindName(MonitorKind kind)
 {
@@ -30,22 +19,6 @@ AdcMonitor::AdcMonitor(int adcBits, double fullScaleV, double vBackup,
     : adc_(adcBits, fullScaleV), backupCode_(adc_.sample(vBackup)),
       wakeCode_(adc_.sample(vWake)), sampleHz_(sampleHz)
 {
-}
-
-MonitorEvent
-AdcMonitor::observe(double seenV)
-{
-    MonitorEvent ev;
-    std::uint32_t code = adc_.sample(seenV);
-    bool below = code < backupCode_;
-    bool above = code >= wakeCode_;
-    if (below && !belowBackup_)
-        ev.backup = true;
-    if (above && !aboveWake_)
-        ev.wake = true;
-    belowBackup_ = below;
-    aboveWake_ = above;
-    return ev;
 }
 
 bool
@@ -79,21 +52,6 @@ ComparatorMonitor::ComparatorMonitor(double vBackup, double vWake,
       wakeComp_(vWake, hysteresisV, /*initialHigh=*/true),
       checkHz_(checkHz)
 {
-}
-
-MonitorEvent
-ComparatorMonitor::observe(double seenV)
-{
-    MonitorEvent ev;
-    bool backup_was = backupComp_.output();
-    bool wake_was = wakeComp_.output();
-    bool backup_now = backupComp_.evaluate(seenV);
-    bool wake_now = wakeComp_.evaluate(seenV);
-    if (backup_was && !backup_now)
-        ev.backup = true;
-    if (!wake_was && wake_now)
-        ev.wake = true;
-    return ev;
 }
 
 bool

@@ -68,7 +68,10 @@ class VoltageMonitor
      * [low, high] (continuous monitors only).  Default: trough first,
      * then crest — a backup trigger on the trough re-arms on the crest.
      */
-    virtual MonitorEvent observeEnvelope(double low, double high);
+    virtual MonitorEvent observeEnvelope(double low, double high)
+    {
+        return envelopeOf(*this, low, high);
+    }
 
     /**
      * True iff any sequence of observations within [lo, hi] is provably
@@ -94,14 +97,32 @@ class VoltageMonitor
      * rates are construction parameters, not archived).
      */
     virtual void archiveState(campaign::Archive& ar) = 0;
+
+  protected:
+    /** observeEnvelope's order, on `monitor`'s static type. */
+    template <class Monitor>
+    static MonitorEvent envelopeOf(Monitor& monitor, double low,
+                                   double high)
+    {
+        MonitorEvent trough = monitor.observe(low);
+        MonitorEvent crest = monitor.observe(high);
+        MonitorEvent ev;
+        ev.backup = trough.backup || crest.backup;
+        ev.wake = trough.wake || crest.wake;
+        return ev;
+    }
 };
 
 /**
  * ADC-based monitor (Fig. 2a): samples V_CC at a modest rate through an
  * n-bit converter and compares codes against the thresholds.  The slow
  * sampling is exactly what makes it aliasing-prone under EMI.
+ *
+ * `final`, with the observation inline, so the simulator's fused
+ * EMI-active kernel binds it statically once per run instead of making
+ * a virtual call per sample.
  */
-class AdcMonitor : public VoltageMonitor
+class AdcMonitor final : public VoltageMonitor
 {
   public:
     /**
@@ -114,7 +135,20 @@ class AdcMonitor : public VoltageMonitor
     AdcMonitor(int adcBits, double fullScaleV, double vBackup, double vWake,
                double sampleHz);
 
-    MonitorEvent observe(double seenV) override;
+    MonitorEvent observe(double seenV) override
+    {
+        MonitorEvent ev;
+        std::uint32_t code = adc_.sample(seenV);
+        bool below = code < backupCode_;
+        bool above = code >= wakeCode_;
+        if (below && !belowBackup_)
+            ev.backup = true;
+        if (above && !aboveWake_)
+            ev.wake = true;
+        belowBackup_ = below;
+        aboveWake_ = above;
+        return ev;
+    }
     double sampleIntervalS() const override { return 1.0 / sampleHz_; }
     bool quietRange(double lo, double hi) const override;
     void reset(double v) override;
@@ -133,9 +167,10 @@ class AdcMonitor : public VoltageMonitor
  * Comparator-based monitor (Fig. 2b): continuous analog hardware with
  * hysteresis.  It catches essentially every EMI trough — which is why
  * the paper measures minimum forward progress two orders of magnitude
- * below the ADC monitors' (Table I).
+ * below the ADC monitors' (Table I).  `final` with inline observations
+ * for the same reason as AdcMonitor.
  */
-class ComparatorMonitor : public VoltageMonitor
+class ComparatorMonitor final : public VoltageMonitor
 {
   public:
     /**
@@ -147,7 +182,26 @@ class ComparatorMonitor : public VoltageMonitor
     ComparatorMonitor(double vBackup, double vWake, double hysteresisV,
                       double checkHz);
 
-    MonitorEvent observe(double seenV) override;
+    MonitorEvent observe(double seenV) override
+    {
+        MonitorEvent ev;
+        bool backup_was = backupComp_.output();
+        bool wake_was = wakeComp_.output();
+        bool backup_now = backupComp_.evaluate(seenV);
+        bool wake_now = wakeComp_.evaluate(seenV);
+        if (backup_was && !backup_now)
+            ev.backup = true;
+        if (!wake_was && wake_now)
+            ev.wake = true;
+        return ev;
+    }
+
+    /** The base order (trough, then crest), bound statically. */
+    MonitorEvent observeEnvelope(double low, double high) override
+    {
+        return envelopeOf(*this, low, high);
+    }
+
     double sampleIntervalS() const override { return 1.0 / checkHz_; }
     bool continuous() const override { return true; }
     bool quietRange(double lo, double hi) const override;

@@ -1,6 +1,7 @@
 #include "attack/attack_schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace gecko::attack {
@@ -34,6 +35,12 @@ AttackSchedule::rebuildIndex()
         maxEnd = std::max(maxEnd, windows_[byStart_[i]].endS);
         prefixMaxEndS_[i] = maxEnd;
     }
+    edgesS_.clear();
+    for (const AttackWindow& w : windows_) {
+        edgesS_.push_back(w.startS);
+        edgesS_.push_back(w.endS);
+    }
+    std::sort(edgesS_.begin(), edgesS_.end());
 }
 
 bool
@@ -49,6 +56,14 @@ AttackSchedule::overlapsRange(double t0, double t1) const
     const std::size_t k =
         static_cast<std::size_t>(it - byStart_.begin());
     return k > 0 && prefixMaxEndS_[k - 1] > t0;
+}
+
+double
+AttackSchedule::nextEdgeAfter(double t) const
+{
+    auto it = std::upper_bound(edgesS_.begin(), edgesS_.end(), t);
+    return it == edgesS_.end() ? std::numeric_limits<double>::infinity()
+                               : *it;
 }
 
 namespace {

@@ -52,6 +52,14 @@ class AttackSchedule
     bool overlapsRange(double t0, double t1) const;
 
     /**
+     * The earliest window start or end strictly after `t` (+infinity
+     * when none).  `activeAt` returns the same window for every instant
+     * in [t, nextEdgeAfter(t)), which is how the simulator's fused
+     * EMI-active kernel proves the tone constant over a span.
+     */
+    double nextEdgeAfter(double t) const;
+
+    /**
      * Fig. 13 scenarios (a)–(f).  The paper schedules attacks at minute
      * granularity over a 50-minute run; `minuteS` scales one paper-minute
      * to simulated seconds so the experiment stays tractable.
@@ -82,6 +90,8 @@ class AttackSchedule
     /// query runs on the per-horizon hot path.
     std::vector<std::uint32_t> byStart_;
     std::vector<double> prefixMaxEndS_;
+    /// Every window's startS and endS, sorted (nextEdgeAfter).
+    std::vector<double> edgesS_;
 };
 
 }  // namespace gecko::attack

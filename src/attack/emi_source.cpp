@@ -63,15 +63,6 @@ EmiSource::setTone(double freqHz, double powerDbm)
     amplitude_ = rig_.amplitude(freqHz, powerDbm);
 }
 
-double
-EmiSource::voltageAt(double t) const
-{
-    if (!enabled_)
-        return 0.0;
-    double f = freqHz_ * (1.0 + skewPpm_ * 1e-6);
-    return amplitude_ * std::sin(2.0 * M_PI * f * t);
-}
-
 void
 EmiSource::archiveState(campaign::Archive& ar)
 {

@@ -1,6 +1,7 @@
 #ifndef GECKO_ATTACK_EMI_SOURCE_HPP_
 #define GECKO_ATTACK_EMI_SOURCE_HPP_
 
+#include <cmath>
 #include <cstdint>
 
 #include "attack/rigs.hpp"
@@ -60,8 +61,17 @@ class EmiSource
     /** Peak induced amplitude at the victim (V). */
     double amplitude() const { return enabled_ ? amplitude_ : 0.0; }
 
-    /** Induced voltage at simulation time `t` (s). */
-    double voltageAt(double t) const;
+    /**
+     * Induced voltage at simulation time `t` (s).  Inline: ADC monitors
+     * under attack draw one point sample per simulated quantum.
+     */
+    double voltageAt(double t) const
+    {
+        if (!enabled_)
+            return 0.0;
+        double f = freqHz_ * (1.0 + skewPpm_ * 1e-6);
+        return amplitude_ * std::sin(2.0 * M_PI * f * t);
+    }
 
     /**
      * Serialize/restore the tone state *directly* — setEnabled/setTone

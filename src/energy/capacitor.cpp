@@ -56,7 +56,8 @@ Capacitor::chargeFrom(double vOc, double rSeries, double dt)
     v = plan_.vInf + (v - plan_.vInf) * plan_.rcDecay;
     v = std::clamp(v, 0.0, config_.maxV);
     setVoltage(v);
-    traceCrossings(prevE, energyJ_);
+    if (tracing())
+        traceCrossings(prevE, energyJ_);
 }
 
 void
@@ -73,7 +74,8 @@ Capacitor::leak(double dt)
     const double prevE = energyJ_;
     double v = voltage() * leakDecay_;
     setVoltage(v);
-    traceCrossings(prevE, energyJ_);
+    if (tracing())
+        traceCrossings(prevE, energyJ_);
 }
 
 double
@@ -107,7 +109,7 @@ Capacitor::watchThresholds(double vOff, double vBackup, double vOn)
 void
 Capacitor::traceCrossings(double prevE, double newE)
 {
-    if (!watching_ || prevE == newE || trace::current() == nullptr)
+    if (prevE == newE)
         return;
     for (int i = 0; i < 3; ++i) {
         const double thrE = thresholdsE_[i];

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "trace/current.hpp"
+
 /**
  * @file
  * Energy-buffer capacitor model.
@@ -67,7 +69,7 @@ class Capacitor
         const double prevE = energyJ_;
         double drawn = std::min(joules, energyJ_);
         energyJ_ -= drawn;
-        if (watching_ && prevE != energyJ_)
+        if (tracing())
             traceCrossings(prevE, energyJ_);
         return drawn;
     }
@@ -128,7 +130,8 @@ class Capacitor
      * rSeries, fixed dt), the Thevenin divide/exp work is hoisted out
      * of the per-quantum loop; `quietStep` then replays the exact
      * floating-point sequence of `discharge` + `chargeFrom` with these
-     * constants, bit-for-bit.
+     * constants, bit-for-bit.  The simulator's fused EMI-active kernel
+     * hoists it the same way over a span it has proven steady.
      */
     struct ChargePlan {
         double vOc = 0.0;
@@ -152,32 +155,33 @@ class Capacitor
     }
 
     /**
-     * One coalesced simulation quantum: `dischargeCycles(cycles, epcJ)`
-     * followed by `chargeFrom` under a precomputed plan.  Caller
-     * contract (the coalescing guard): no trace buffer is installed and
-     * the outage latch has already been settled via `noteSource`, so
-     * the tracing hooks the slow path would run are provably inert and
-     * are skipped here.  Every energy-state operation matches the slow
-     * path's floating-point arithmetic exactly.
+     * One untraced simulation quantum: `discharge(joules)` followed by
+     * `chargeFrom` under a precomputed plan.  The running quantum draws
+     * `cycles * epcJ` (exactly what `dischargeCycles` computes), the
+     * sleeping quantum `sleepPowerW * dt`.  Caller contract (the
+     * coalescing and fused-kernel guards): no trace buffer is installed
+     * and the outage latch has already been settled via `noteSource`,
+     * so the tracing hooks the slow path would run are provably inert
+     * and are skipped here.  Every energy-state operation matches the
+     * slow path's floating-point arithmetic exactly.
      */
-    void quietStep(std::uint64_t cycles, double epcJ, const ChargePlan& p)
+    void quietStep(double joules, const ChargePlan& p)
     {
-        energyJ_ = quietStepEnergy(energyJ_, cycles, epcJ, p,
+        energyJ_ = quietStepEnergy(energyJ_, joules, p,
                                    config_.capacitanceF, config_.maxV);
     }
 
     /**
      * Pure form of quietStep's energy update: the stored energy after
-     * one quiet quantum of `cycles` at `epcJ` under plan `p`.  Static
-     * so the coalescing proof can march the *exact* burst trajectory on
-     * local copies — the same floating-point operations in the same
-     * order as the commit — before mutating anything.
+     * one quiet quantum drawing `joules` under plan `p`.  Static so the
+     * coalescing proof can march the *exact* burst trajectory on local
+     * copies — the same floating-point operations in the same order as
+     * the commit — before mutating anything.
      */
-    static double quietStepEnergy(double energyJ, std::uint64_t cycles,
-                                  double epcJ, const ChargePlan& p,
-                                  double capacitanceF, double maxV)
+    static double quietStepEnergy(double energyJ, double joules,
+                                  const ChargePlan& p, double capacitanceF,
+                                  double maxV)
     {
-        const double joules = static_cast<double>(cycles) * epcJ;
         energyJ -= std::min(joules, energyJ);
         double v = std::sqrt(2.0 * energyJ / capacitanceF);
         if (p.vOc <= v)
@@ -227,6 +231,11 @@ class Capacitor
     void archiveState(campaign::Archive& ar);
 
   private:
+    /// Whether crossings must be traced: thresholds armed and a buffer
+    /// installed.  Inline so an idle trace costs one TLS load, not an
+    /// out-of-line call per discharge.
+    bool tracing() const { return watching_ && trace::current() != nullptr; }
+
     // Crossing detection runs in the energy domain (E = ½CV² is strictly
     // monotone in V) so the per-quantum discharge path never needs the
     // sqrt in voltage() just to feed tracing.

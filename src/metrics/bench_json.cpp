@@ -65,6 +65,7 @@ BenchReport::toJson() const
     os << ",\"sim_cycles\":" << simCycles << ",\"sim_cycles_per_s\":"
        << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0)
        << ",\"quanta\":" << quanta
+       << ",\"sleep_quanta\":" << sleepQuanta
        << ",\"coalesced_quanta\":" << coalescedQuanta
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);

@@ -61,11 +61,14 @@ struct SweepRecord {
  *  - 7: fig_adversarial's defense-vs-best-attack matrix rides in
  *    `figure_data`, and the campaign aggregate it embeds gained the
  *    per-group `commits` counter (campaign schema v5).
+ *  - 8: added `sleep_quanta` next to `quanta`: monitor-sample quanta
+ *    stepped while sleeping, which `quanta` (running quanta) omits —
+ *    about half of all stepped quanta under a continuous tone.
  * Readers must tolerate unknown keys so newer records keep
  * aggregating under older readers (the find-based extractors below
  * do this by construction).
  */
-inline constexpr int kBenchSchemaVersion = 7;
+inline constexpr int kBenchSchemaVersion = 8;
 
 /** Telemetry of one bench binary run. */
 struct BenchReport {
@@ -93,6 +96,8 @@ struct BenchReport {
     /// subset absorbed by the quantum-coalescing fast path (schema v5).
     std::uint64_t quanta = 0;
     std::uint64_t coalescedQuanta = 0;
+    /// Monitor-sample quanta stepped while sleeping (schema v8).
+    std::uint64_t sleepQuanta = 0;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).
     std::string status;

@@ -68,12 +68,6 @@ GeckoRuntime::noteCkptRetriesExhausted()
 }
 
 void
-GeckoRuntime::onBackupSignal()
-{
-    sawBackupSinceBoot_ = true;
-}
-
-void
 GeckoRuntime::onProgress()
 {
     if (defense_)

@@ -97,7 +97,7 @@ class GeckoRuntime
      * ignored ones) so the re-enable probe can see the monitor's
      * behaviour during the first region after boot.
      */
-    void onBackupSignal();
+    void onBackupSignal() { sawBackupSinceBoot_ = true; }
 
     /**
      * The simulator reports committed-region progress after each

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <type_traits>
 
 #include "campaign/archive.hpp"
 #include "exp/rng.hpp"
@@ -76,6 +77,8 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
         }
     }
     monitor_->reset(cap_.voltage());
+    adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
+    compMonitor_ = dynamic_cast<analog::ComparatorMonitor*>(monitor_.get());
 
     coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
 
@@ -267,6 +270,9 @@ IntermittentSim::doJitCheckpoint()
     const double attemptEnergy =
         static_cast<double>(config_.jitRamWords + Nvm::kJitWords) *
         kJitStoreCycles * epc_;
+    const bool faultHook = static_cast<bool>(jitWriteFault_);
+    // The first word at which words >= jitAbortWindowWords holds.
+    const int vetoWord = std::max(config_.jitAbortWindowWords, 1);
 
     for (int attempt = 0;; ++attempt) {
         ++stats.jitCheckpointAttempts;
@@ -277,9 +283,13 @@ IntermittentSim::doJitCheckpoint()
         int words = 0;
         bool aborted = false;
         bool faulted = false;
-        bool veto_done = false;
+        // The word march: per word one energy test, one discharge and
+        // one clock step, broken only by the 64-word recharge points and
+        // the single veto read.  JitCheckpoint::checkpoint takes this
+        // lambda as a template argument, so the march inlines into its
+        // word loop.
         auto spend = [&](int cycles) {
-            if (jitWriteFault_ && jitWriteFault_(words)) {
+            if (faultHook && jitWriteFault_(words)) {
                 // Transient write failure (injected mid-burst
                 // disturbance): the routine detects it and bails out so
                 // the boot path never trusts the partial image.
@@ -301,8 +311,7 @@ IntermittentSim::doJitCheckpoint()
                 cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                                 harvester_.seriesResistance(now_),
                                 64 * cycles * spc_);
-            if (!veto_done && words >= config_.jitAbortWindowWords) {
-                veto_done = true;
+            if (words == vetoWord) {
                 // The veto is one extra monitor read (a single ADC
                 // conversion / one comparator-output read) — a point
                 // sample of the EMI-distorted rail, never the envelope.
@@ -520,7 +529,12 @@ IntermittentSim::stepRunning(double end, bool allowCoalesce)
                     harvester_.seriesResistance(now_), dt);
     now_ += dt;
 
-    analog::MonitorEvent ev = observeMonitor();
+    onRunningEvents(observeMonitor());
+}
+
+void
+IntermittentSim::onRunningEvents(const analog::MonitorEvent& ev)
+{
     if (ev.backup) {
         ++stats.backupSignals;
         GECKO_TRACE_EVENT(trace::EventKind::kBackupSignal,
@@ -610,8 +624,8 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
                 avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
             if (planned > can)
                 break;  // this quantum browns out: the slow path must die
-            e = energy::Capacitor::quietStepEnergy(e, planned, epc_, plan,
-                                                   cf, maxV);
+            e = energy::Capacitor::quietStepEnergy(
+                e, static_cast<double>(planned) * epc_, plan, cf, maxV);
             const double v = std::sqrt(2.0 * e / cf);
             vLo = k == 0 ? v : std::min(vLo, v);
             vHi = k == 0 ? v : std::max(vHi, v);
@@ -650,7 +664,7 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
             cycleCarry_ > 0 ? static_cast<std::uint64_t>(cycleCarry_) : 0;
         cycleCarry_ -= static_cast<double>(planned);
         fusedPlanned += planned;
-        cap_.quietStep(planned, epc_, plan);
+        cap_.quietStep(static_cast<double>(planned) * epc_, plan);
         now_ += dt;
     }
     if (emi_) {
@@ -685,6 +699,129 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
     debt_ += static_cast<std::int64_t>(consumedTotal) -
              static_cast<std::int64_t>(fusedPlanned);
     return true;
+}
+
+bool
+IntermittentSim::fusedRun(FusedSpan& span, double stopAt)
+{
+    // Guards (DESIGN.md §14.1).  Each keeps a per-quantum hook the
+    // kernel skips provably inert: no trace buffer (trace macros,
+    // crossing and outage events), no monitor fault and no defense
+    // controller (the only other readers of an observation).  The
+    // coalescing switch turns every fast path off together.
+    if (coalesceLimit_ < 2 || !attackActive() || monitorFault_ ||
+        defense_ != nullptr || trace::current() != nullptr)
+        return false;
+    if (now_ >= span.until && !proveFusedSpan(span))
+        return false;
+    if (compMonitor_ != nullptr)
+        return fusedQuanta(*compMonitor_, span, stopAt);
+    if (adcMonitor_ != nullptr)
+        return fusedQuanta(*adcMonitor_, span, stopAt);
+    return false;
+}
+
+bool
+IntermittentSim::proveFusedSpan(FusedSpan& span)
+{
+    // Under attack the monitor samples every quantum (stride 1).
+    const double dt = monitor_->sampleIntervalS();
+    // Halve until the harvester is provably constant; the +1 quantum of
+    // margin absorbs the span's own floating-point time accumulation,
+    // as in coalescedRun.
+    int m = std::clamp(2 * span.quanta, 1, FusedSpan::kMaxQuanta);
+    while (m >= 1 &&
+           !harvester_.constantOver(now_, dt * static_cast<double>(m + 1)))
+        m >>= 1;
+    span.quanta = m;
+    if (m < 1)
+        return false;
+    // updateAttack sets the same tone at every instant before the next
+    // window edge, so the kernel may skip it until then.
+    double until = now_ + dt * static_cast<double>(m);
+    if (schedule_ != nullptr)
+        until = std::min(until, schedule_->nextEdgeAfter(now_));
+    span.until = until;
+    span.dt = dt;
+    span.voc = harvester_.openCircuitVoltage(now_);
+    span.plan =
+        cap_.planCharge(span.voc, harvester_.seriesResistance(now_), dt);
+    return true;
+}
+
+template <class Monitor>
+bool
+IntermittentSim::fusedQuanta(Monitor& monitor, const FusedSpan& span,
+                             double stopAt)
+{
+    const bool running = state_ == State::kRunning;
+    const double dt = span.dt;
+    const double cyclesPerQuantum = dt * device_.power.clockHz;
+    const double sleepJ = device_.power.sleepPowerW * dt;
+    const double amplitude = emi_->amplitude();
+    const double lockoutV = vOff_ + config_.bootLockoutV;
+    bool advanced = false;
+    while (now_ < stopAt && now_ < span.until) {
+        if (running) {
+            // stepRunning's budget on copies: hand the quantum back
+            // untouched if the machine must run or the buffer cannot
+            // pay for it (brown-out).
+            double carry = cycleCarry_ + cyclesPerQuantum;
+            const std::uint64_t planned =
+                carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
+            carry -= static_cast<double>(planned);
+            if (static_cast<std::int64_t>(planned) > debt_ ||
+                planned > cap_.affordableCycles(epc_, energyAtVoff_))
+                break;
+            cycleCarry_ = carry;
+            debt_ -= static_cast<std::int64_t>(planned);
+            cap_.quietStep(static_cast<double>(planned) * epc_, span.plan);
+            ++stats.quanta;
+        } else {
+            cap_.quietStep(sleepJ, span.plan);
+            ++stats.sleepQuanta;
+        }
+        if (!advanced) {
+            // Settles the outage latch as every skipped chargeFrom
+            // would (before any exit hands control to code that reads
+            // the harvester at a later time).
+            cap_.noteSource(span.voc);
+            advanced = true;
+        }
+        ++stats.fusedQuanta;
+        now_ += dt;
+
+        // observeMonitor's attacked branch for this monitor type.
+        const double v = cap_.voltage();
+        analog::MonitorEvent ev;
+        if constexpr (std::is_same_v<Monitor, analog::ComparatorMonitor>)
+            ev = monitor.observeEnvelope(v - amplitude, v + amplitude);
+        else
+            ev = monitor.observe(v + emiAt(now_));
+
+        if (!running) {
+            if (ev.wake) {
+                if (v > lockoutV) {
+                    onSleepingWake();  // boots
+                    return true;
+                }
+                ++stats.wakeSignals;
+            }
+            continue;
+        }
+        if (ev.backup) {
+            if (runtime_.jitActive()) {
+                onRunningEvents(ev);  // checkpoints
+                return true;
+            }
+            ++stats.backupSignals;
+            ++stats.ignoredBackups;
+            runtime_.onBackupSignal();
+        }
+        if (ev.wake)
+            ++stats.wakeSignals;
+    }
+    return advanced;
 }
 
 void
@@ -723,32 +860,37 @@ IntermittentSim::stepSleeping()
     bool attacked = attackActive();
     double dt = monitor_->sampleIntervalS() *
                 (attacked ? 1 : config_.quietStride);
+    ++stats.sleepQuanta;
     cap_.discharge(device_.power.sleepPowerW * dt);
     cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                     harvester_.seriesResistance(now_), dt);
     now_ += dt;
 
-    analog::MonitorEvent ev = observeMonitor();
-    if (ev.wake) {
-        ++stats.wakeSignals;
-        // Brown-out lockout: the PMU holds reset until V_CC clears
-        // V_off plus hysteresis.  A fake wake can only boot the system
-        // inside the paper's malicious window V_off < V_fail < V_backup
-        // (or legitimately above).
-        const bool clear = cap_.voltage() > vOff_ + config_.bootLockoutV;
-        // In kDegraded the controller distrusts the forgeable monitor
-        // wake and defers the boot until the physics-timed recharge
-        // dwell has elapsed (forward-progress ratchet, DESIGN.md §11).
-        const bool allowed =
-            defense_ == nullptr || defense_->wakeAllowed(now_);
-        GECKO_TRACE_EVENT(trace::EventKind::kWakeSignal,
-                          static_cast<std::uint16_t>(
-                              (clear ? 0 : trace::kFlagLockout) |
-                              (allowed ? 0 : trace::kFlagIgnored)),
-                          stats.wakeSignals, 0);
-        if (clear && allowed)
-            boot();
-    }
+    if (observeMonitor().wake)
+        onSleepingWake();
+}
+
+void
+IntermittentSim::onSleepingWake()
+{
+    ++stats.wakeSignals;
+    // Brown-out lockout: the PMU holds reset until V_CC clears
+    // V_off plus hysteresis.  A fake wake can only boot the system
+    // inside the paper's malicious window V_off < V_fail < V_backup
+    // (or legitimately above).
+    const bool clear = cap_.voltage() > vOff_ + config_.bootLockoutV;
+    // In kDegraded the controller distrusts the forgeable monitor
+    // wake and defers the boot until the physics-timed recharge
+    // dwell has elapsed (forward-progress ratchet, DESIGN.md §11).
+    const bool allowed =
+        defense_ == nullptr || defense_->wakeAllowed(now_);
+    GECKO_TRACE_EVENT(trace::EventKind::kWakeSignal,
+                      static_cast<std::uint16_t>(
+                          (clear ? 0 : trace::kFlagLockout) |
+                          (allowed ? 0 : trace::kFlagIgnored)),
+                      stats.wakeSignals, 0);
+    if (clear && allowed)
+        boot();
 }
 
 void
@@ -774,6 +916,7 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
     // Coalesced bursts are capped at the poll horizon, so the poll sees
     // every completion a burst could have produced.
     double pollEnd = bounded ? std::min(now_ + kCompletionPollS, end) : end;
+    FusedSpan span;
     while (now_ < end) {
         if (bounded && now_ >= pollEnd) {
             if (machine_.stats.completions >= targetCompletions)
@@ -782,6 +925,8 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
         }
         GECKO_TRACE_TIME(now_);
         updateAttack();
+        if (fusedRun(span, pollEnd))
+            continue;
         if (state_ == State::kRunning)
             stepRunning(pollEnd, true);
         else

@@ -118,12 +118,19 @@ struct SimStats {
     // snapshots on purpose so campaign aggregates stay bit-identical
     // whether or not the coalescing fast path engaged.
     // ------------------------------------------------------------------
-    /// Monitor-sample quanta simulated while running (slow + coalesced).
+    /// Monitor-sample quanta simulated while running (stepped, fused or
+    /// coalesced).
     std::uint64_t quanta = 0;
+    /// Monitor-sample quanta stepped while sleeping (the analytic wake
+    /// jump of a quiet recharge is not a quantum).
+    std::uint64_t sleepQuanta = 0;
     /// Quanta absorbed by the coalescing fast path.
     std::uint64_t coalescedQuanta = 0;
     /// Number of coalesced bursts (each fuses ≥ 2 quanta).
     std::uint64_t coalescedBursts = 0;
+    /// Running and sleeping quanta advanced by the fused EMI-active
+    /// kernel (DESIGN.md §14.1); a subset of quanta + sleepQuanta.
+    std::uint64_t fusedQuanta = 0;
 };
 
 /** Harvester + capacitor + monitor + MCU + (optional) attacker. */
@@ -223,6 +230,25 @@ class IntermittentSim
     SimStats stats;
 
   private:
+    /**
+     * A span of simulated time over which the fused EMI-active kernel
+     * has proven its inputs constant: the harvester returns (voc, rs)
+     * and no attack-window edge falls in [now, until).  Local to one
+     * runLoop call.
+     */
+    struct FusedSpan {
+        /// Longest span one proof covers, in quanta.
+        static constexpr int kMaxQuanta = 1 << 16;
+        double until = 0.0;
+        double dt = 0.0;
+        double voc = 0.0;
+        energy::Capacitor::ChargePlan plan;
+        /// Length of the last proof, in quanta: the next proof starts
+        /// from twice this, so a source that changes often converges
+        /// on short proofs instead of re-halving from the maximum.
+        int quanta = kMaxQuanta / 2;
+    };
+
     bool attackActive() const;
     void updateAttack();
     double emiAt(double t);
@@ -241,6 +267,24 @@ class IntermittentSim
     /// replays it with per-quantum energy bookkeeping but one fused
     /// machine run.  @return true if it advanced the simulation.
     bool coalescedRun(int stride, double dt, double end);
+    /**
+     * Fused EMI-active kernel (DESIGN.md §14.1): steps attacked quanta,
+     * running and sleeping, in one loop until the machine must run, a
+     * brown-out looms, a backup arms the JIT checkpoint, a wake boots,
+     * or `stopAt` / the span's end is reached.  @return true if it
+     * advanced the simulation; false leaves the quantum to the stepped
+     * path.
+     */
+    bool fusedRun(FusedSpan& span, double stopAt);
+    bool proveFusedSpan(FusedSpan& span);
+    template <class Monitor>
+    bool fusedQuanta(Monitor& monitor, const FusedSpan& span,
+                     double stopAt);
+    /// Backup/wake bookkeeping after a running quantum's observation.
+    void onRunningEvents(const analog::MonitorEvent& ev);
+    /// A wake observed while sleeping: boots unless the brown-out
+    /// lockout or the defense controller holds it off.
+    void onSleepingWake();
     void stepSleeping();
     void doJitCheckpoint();
     void hardDeath();
@@ -259,6 +303,10 @@ class IntermittentSim
     runtime::GeckoRuntime runtime_;
     energy::Capacitor cap_;
     std::unique_ptr<analog::VoltageMonitor> monitor_;
+    /// monitor_ statically typed for the fused kernel (exactly one is
+    /// non-null).
+    analog::AdcMonitor* adcMonitor_ = nullptr;
+    analog::ComparatorMonitor* compMonitor_ = nullptr;
     /// Redundant monitor of the opposite kind, feeding the defense
     /// controller's cross-validation (null when defense is off).
     std::unique_ptr<analog::VoltageMonitor> shadowMonitor_;

@@ -16,31 +16,22 @@ imageCrc(const std::uint32_t* words, std::uint32_t ack)
 
 }  // namespace
 
-JitResult
-JitCheckpoint::checkpoint(const Machine& machine, Nvm& nvm,
-                          const std::function<bool(int cycles)>& spendCycles,
-                          int ramPaddingWords)
+void
+JitCheckpoint::noteSaveStart([[maybe_unused]] const Nvm& nvm,
+                             [[maybe_unused]] int ramPaddingWords)
 {
-    JitResult result;
-
     // One start per call: the intermittent simulator calls once per
     // retry attempt, so retries show as start/retry pairs in the trace.
     GECKO_TRACE_EVENT(trace::EventKind::kJitSaveStart, 0,
                       nvm.jitEpoch + 1,
                       static_cast<std::uint64_t>(ramPaddingWords));
+}
 
-    // SRAM/peripheral snapshot first (cost only; see header).
-    for (int i = 0; i < ramPaddingWords; ++i) {
-        if (!spendCycles(kJitStoreCycles))
-            return result;
-        ++nvm.jitAreaWrites;
-        ++result.wordsWritten;
-        result.cycles += kJitStoreCycles;
-    }
-
-    // Assemble the image in write order: regs, pc, staged-I/O, epoch,
-    // CRC, ACK last.
-    std::array<std::uint32_t, Nvm::kJitWords> image{};
+JitCheckpoint::Image
+JitCheckpoint::assembleImage(const Machine& machine, const Nvm& nvm)
+{
+    // Write order: regs, pc, staged-I/O, epoch, CRC, ACK last.
+    Image image{};
     std::size_t w = 0;
     for (int r = 0; r < 16; ++r)
         image[w++] = machine.regs()[static_cast<std::size_t>(r)];
@@ -53,25 +44,20 @@ JitCheckpoint::checkpoint(const Machine& machine, Nvm& nvm,
     image[Nvm::kJitAckIndex] = nvm.jit[Nvm::kJitAckIndex] ^ 1u;
     image[Nvm::kJitCrcIndex] =
         imageCrc(image.data(), image[Nvm::kJitAckIndex]);
+    return image;
+}
 
-    for (std::size_t i = 0; i < Nvm::kJitWords; ++i) {
-        if (!spendCycles(kJitStoreCycles))
-            return result;  // torn: ACK not yet toggled
-        nvm.jit[i] = image[i];
-        ++nvm.jitAreaWrites;
-        ++result.wordsWritten;
-        result.cycles += kJitStoreCycles;
-    }
-    // Advance the consume-once counter to match the committed image.
-    // (One more FRAM word write; a tear between the ACK and this write
-    // only costs the roll-forward, never consistency.)
+void
+JitCheckpoint::commitImage(Nvm& nvm, const Image& image, JitResult& result)
+{
+    // One more FRAM word write; a tear between the ACK and this write
+    // only costs the roll-forward, never consistency.
     nvm.jitEpoch = image[Nvm::kJitEpochIndex];
     ++nvm.jitAreaWrites;
     result.cycles += kJitStoreCycles;
     result.complete = true;
     GECKO_TRACE_EVENT(trace::EventKind::kJitSaveCommit, 0, nvm.jitEpoch,
                       static_cast<std::uint64_t>(result.wordsWritten));
-    return result;
 }
 
 std::uint64_t

@@ -1,8 +1,8 @@
 #ifndef GECKO_SIM_JIT_CHECKPOINT_HPP_
 #define GECKO_SIM_JIT_CHECKPOINT_HPP_
 
+#include <array>
 #include <cstdint>
-#include <functional>
 
 #include "sim/machine.hpp"
 #include "sim/nvm.hpp"
@@ -50,19 +50,22 @@ class JitCheckpoint
     /**
      * Checkpoint `machine`'s volatile state into `nvm`.
      *
-     * @param spendCycles called once per word with the word's cycle
-     *        cost; returns false when the energy buffer died (the
-     *        checkpoint is then abandoned, torn).
+     * @param spendCycles any callable `bool(int cycles)`, called once
+     *        per word with the word's cycle cost; returns false when the
+     *        energy buffer died (the checkpoint is then abandoned,
+     *        torn).  A template parameter rather than std::function so
+     *        the simulator's per-word energy march inlines into the word
+     *        loop (thousands of words per attempt).
      * @param ramPaddingWords extra cost-only words modelling CTPL's
      *        SRAM/peripheral snapshot (our machine keeps data in NVM, so
      *        these words carry cost and tear semantics but no content).
      *        They are written *before* the context words so most tears
      *        leave the previous image intact.
      */
-    static JitResult checkpoint(
-        const Machine& machine, Nvm& nvm,
-        const std::function<bool(int cycles)>& spendCycles,
-        int ramPaddingWords = 0);
+    template <class SpendCycles>
+    static JitResult checkpoint(const Machine& machine, Nvm& nvm,
+                                SpendCycles&& spendCycles,
+                                int ramPaddingWords = 0);
 
     /**
      * Restore volatile state from the JIT area (used on wake-up
@@ -87,7 +90,47 @@ class JitCheckpoint
      * same image cannot be rolled forward into twice.
      */
     static void consumeImage(Nvm& nvm);
+
+  private:
+    using Image = std::array<std::uint32_t, Nvm::kJitWords>;
+    /// Trace the start of one save attempt.
+    static void noteSaveStart(const Nvm& nvm, int ramPaddingWords);
+    /// The image in write order: regs, pc, staged I/O, epoch, CRC, ACK.
+    static Image assembleImage(const Machine& machine, const Nvm& nvm);
+    /// Advance the consume-once counter to the committed image's epoch.
+    static void commitImage(Nvm& nvm, const Image& image,
+                            JitResult& result);
 };
+
+template <class SpendCycles>
+JitResult
+JitCheckpoint::checkpoint(const Machine& machine, Nvm& nvm,
+                          SpendCycles&& spendCycles, int ramPaddingWords)
+{
+    JitResult result;
+    noteSaveStart(nvm, ramPaddingWords);
+
+    // SRAM/peripheral snapshot first (cost only; see above).
+    for (int i = 0; i < ramPaddingWords; ++i) {
+        if (!spendCycles(kJitStoreCycles))
+            return result;
+        ++nvm.jitAreaWrites;
+        ++result.wordsWritten;
+        result.cycles += kJitStoreCycles;
+    }
+
+    const Image image = assembleImage(machine, nvm);
+    for (std::size_t i = 0; i < Nvm::kJitWords; ++i) {
+        if (!spendCycles(kJitStoreCycles))
+            return result;  // torn: ACK not yet toggled
+        nvm.jit[i] = image[i];
+        ++nvm.jitAreaWrites;
+        ++result.wordsWritten;
+        result.cycles += kJitStoreCycles;
+    }
+    commitImage(nvm, image, result);
+    return result;
+}
 
 }  // namespace gecko::sim
 

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "trace/current.hpp"
+
 /**
  * @file
  * Structured event tracing for the checkpoint protocol.
@@ -208,27 +210,6 @@ class Buffer
     std::string label_;
     std::uint64_t index_ = 0;
 };
-
-namespace detail {
-/// The thread's active buffer.  `inline thread_local` so current() is a
-/// raw TLS load at every macro site — an out-of-line call here costs
-/// 20%+ on monitor-sample-heavy sims even with tracing idle.
-inline thread_local Buffer* tCurrentBuffer = nullptr;
-}  // namespace detail
-
-/** The thread's active buffer (nullptr = tracing idle). */
-inline Buffer*
-current()
-{
-    return detail::tCurrentBuffer;
-}
-
-/** Install `buffer` as the thread's active buffer (nullptr to clear). */
-inline void
-setCurrent(Buffer* buffer)
-{
-    detail::tCurrentBuffer = buffer;
-}
 
 /** RAII: install a buffer for a scope, restoring the previous one. */
 class BufferScope

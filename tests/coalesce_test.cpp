@@ -9,6 +9,7 @@
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
+#include "campaign/archive.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/pipeline.hpp"
 #include "device/device_db.hpp"
@@ -20,12 +21,15 @@
 
 /**
  * @file
- * Differential suite for the quantum-coalescing fast path (DESIGN.md
- * §14).  Coalescing is a pure speed optimization: every test here runs
- * the same scenario with the fast path enabled and disabled and demands
- * bit-identical observables — machine ExecStats, registers, NVM image,
- * I/O, simulated time, and every simulation counter except the
- * coalescing telemetry itself.
+ * Differential suite for the quantum-loop fast paths (DESIGN.md §14):
+ * quantum coalescing and the fused EMI-active kernel.  Both are pure
+ * speed optimizations behind one switch (SimConfig::coalesceQuanta /
+ * GECKO_COALESCE): every test here runs the same scenario with the fast
+ * paths enabled and disabled and demands bit-identical observables —
+ * machine ExecStats, registers, NVM image, I/O, simulated time, every
+ * simulation counter except the fast-path telemetry itself, and the
+ * full archived simulator state (capacitor energy, cycle carry and
+ * debt, the DCO jitter sequence, monitor latches).
  *
  * Unlike the trace-carrying differentials in fuzz_test (an installed
  * trace buffer is one of the guards that *disables* coalescing), these
@@ -70,7 +74,11 @@ struct Obs {
     double simTimeS = 0.0;
     double now = 0.0;
     std::uint64_t quanta = 0;
+    std::uint64_t sleepQuanta = 0;
     std::uint64_t coalescedQuanta = 0;
+    std::uint64_t fusedQuanta = 0;
+    /// IntermittentSim::archiveState bytes.
+    std::vector<std::uint8_t> snapshot;
     /// All SimStats counters that must not depend on coalescing.
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
@@ -89,7 +97,12 @@ capture(sim::IntermittentSim& simulation, sim::IoHub& io)
     o.simTimeS = simulation.stats.simTimeS;
     o.now = simulation.now();
     o.quanta = simulation.stats.quanta;
+    o.sleepQuanta = simulation.stats.sleepQuanta;
     o.coalescedQuanta = simulation.stats.coalescedQuanta;
+    o.fusedQuanta = simulation.stats.fusedQuanta;
+    campaign::Archive ar = campaign::Archive::saver();
+    simulation.archiveState(ar);
+    o.snapshot = ar.takePayload();
     const sim::SimStats& s = simulation.stats;
     o.counters = {s.reboots,
                   s.hardDeaths,
@@ -115,7 +128,11 @@ expectSame(const Obs& on, const Obs& off, const std::string& label)
     EXPECT_EQ(on.simTimeS, off.simTimeS) << label;
     EXPECT_EQ(on.now, off.now) << label;
     EXPECT_EQ(on.quanta, off.quanta) << label << ": quantum count";
+    EXPECT_EQ(on.sleepQuanta, off.sleepQuanta)
+        << label << ": sleeping quantum count";
     EXPECT_EQ(on.counters, off.counters) << label << ": SimStats counters";
+    EXPECT_TRUE(on.snapshot == off.snapshot)
+        << label << ": archived simulator state diverged";
 }
 
 // ---------------------------------------------------------------------
@@ -251,6 +268,7 @@ TEST_P(CoalesceEmiFuzzTest, RandomEmiSchedulesUnchangedByCoalescing)
         Obs off = runEmi(seed, backend, 0);
         ASSERT_GT(on.stats.cycles, 0u) << name << " seed " << seed;
         EXPECT_EQ(off.coalescedQuanta, 0u) << name << " seed " << seed;
+        EXPECT_EQ(off.fusedQuanta, 0u) << name << " seed " << seed;
         expectSame(on, off,
                    std::string(name) + " seed " + std::to_string(seed));
         engaged += on.coalescedQuanta;
@@ -391,6 +409,111 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceSnapshotTest,
                          [](const auto& info) {
                              return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------
+// Fused EMI-active kernel matrix: the tone stays on (the paper's threat
+// model) or switches with scheduled windows, on a duty-cycled square-wave
+// supply, so the kernel runs through running and sleeping quanta, ignored
+// and JIT-arming backups, boots, brown-outs and supply edges.  Every arm
+// runs with the kernel on and off and must match bit-for-bit.  The
+// monitor-fault arm is one of the kernel's guards: it must stay off there
+// and the stepped path must still agree with itself.
+// ---------------------------------------------------------------------
+
+enum class FaultArm { kNone, kJitWrite, kMonitor };
+
+struct KernelCase {
+    analog::MonitorKind monitor;
+    Scheme scheme;
+    bool scheduled;
+    FaultArm fault;
+};
+
+std::string
+kernelCaseName(const KernelCase& c, sim::ExecBackend backend)
+{
+    static const char* const kFaults[] = {"clean", "jitwrite", "monitor"};
+    return std::string(analog::monitorKindName(c.monitor)) + "/" +
+           compiler::schemeName(c.scheme) + "/" +
+           (c.scheduled ? "windows" : "tone") + "/" +
+           kFaults[static_cast<int>(c.fault)] + "/" +
+           sim::execBackendName(backend);
+}
+
+Obs
+runKernelCase(const KernelCase& c, sim::ExecBackend backend,
+              int coalesceQuanta)
+{
+    static const CompiledProgram nvp = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kNvp);
+    static const CompiledProgram gecko = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.monitorKind = c.monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 256;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.coalesceQuanta = coalesceQuanta;
+
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    energy::SquareWaveHarvester supply(3.3, 5.0, 0.004, 0.003);
+    sim::IntermittentSim simulation(c.scheme == Scheme::kNvp ? nvp : gecko,
+                                    dev, cfg, supply, io);
+    simulation.machine().setExecBackend(backend);
+    // Each path's resonance (Table I): 27 MHz for the ADC, 5 MHz for the
+    // FR5994 comparator.
+    const double freqHz =
+        c.monitor == analog::MonitorKind::kAdc ? 27e6 : 5e6;
+    attack::RemoteRig rig(dev, c.monitor, 0.5);
+    attack::EmiSource source(rig, freqHz, 35.0);
+    attack::AttackSchedule schedule({{0.002, 0.009, freqHz, 35.0},
+                                     {0.011, 0.0165, freqHz, 30.0}});
+    simulation.setEmiSource(&source);
+    if (c.scheduled)
+        simulation.setAttackSchedule(&schedule);
+    if (c.fault == FaultArm::kJitWrite) {
+        simulation.setJitWriteFault(
+            [n = 0u](int) mutable { return ++n % 311u == 0; });
+    } else if (c.fault == FaultArm::kMonitor) {
+        simulation.setMonitorFault(
+            [](double v, double) { return v - 0.02; });
+    }
+    simulation.run(0.02);
+    return capture(simulation, io);
+}
+
+TEST(FusedKernelTest, EmiActiveMatrixMatchesSteppedPath)
+{
+    for (analog::MonitorKind monitor :
+         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+        for (Scheme scheme : {Scheme::kNvp, Scheme::kGecko})
+            for (bool scheduled : {false, true})
+                for (FaultArm fault :
+                     {FaultArm::kNone, FaultArm::kJitWrite,
+                      FaultArm::kMonitor})
+                    for (sim::ExecBackend backend :
+                         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
+                          sim::ExecBackend::kBlock}) {
+                        const KernelCase c{monitor, scheme, scheduled,
+                                           fault};
+                        const std::string name = kernelCaseName(c, backend);
+                        Obs on = runKernelCase(c, backend, 64);
+                        Obs off = runKernelCase(c, backend, 0);
+                        ASSERT_GT(on.stats.cycles, 0u) << name;
+                        EXPECT_GT(on.sleepQuanta, 0u) << name;
+                        EXPECT_EQ(off.fusedQuanta, 0u) << name;
+                        if (fault == FaultArm::kMonitor)
+                            EXPECT_EQ(on.fusedQuanta, 0u)
+                                << name << ": kernel ran past its guard";
+                        else
+                            EXPECT_GT(on.fusedQuanta, 0u)
+                                << name << ": kernel never engaged";
+                        expectSame(on, off, name);
+                    }
+}
 
 }  // namespace
 }  // namespace gecko

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
@@ -121,6 +123,33 @@ TEST(AttackScheduleTest, WindowsActivate)
     EXPECT_EQ(sched.activeAt(1.5)->freqHz, 27e6);
     EXPECT_FALSE(sched.activeAt(2.0).has_value());  // half-open
     EXPECT_EQ(sched.activeAt(5.5)->powerDbm, 20.0);
+}
+
+TEST(AttackScheduleTest, NextEdgeBoundsTheConstantSpan)
+{
+    // Overlapping, out-of-order windows: edges from every window count.
+    AttackSchedule sched({{5.0, 6.0, 17e6, 20.0},
+                          {1.0, 3.0, 27e6, 35.0},
+                          {2.0, 2.5, 5e6, 30.0}});
+    EXPECT_EQ(sched.nextEdgeAfter(0.0), 1.0);
+    EXPECT_EQ(sched.nextEdgeAfter(1.0), 2.0);  // strictly after
+    EXPECT_EQ(sched.nextEdgeAfter(2.2), 2.5);
+    EXPECT_EQ(sched.nextEdgeAfter(2.5), 3.0);
+    EXPECT_EQ(sched.nextEdgeAfter(5.5), 6.0);
+    EXPECT_TRUE(std::isinf(sched.nextEdgeAfter(6.0)));
+    EXPECT_TRUE(std::isinf(AttackSchedule().nextEdgeAfter(0.0)));
+    // activeAt is constant on [t, nextEdgeAfter(t)).
+    for (double t : {0.0, 1.0, 1.9, 2.0, 2.5, 3.0, 5.0}) {
+        const auto at = sched.activeAt(t);
+        const double edge = sched.nextEdgeAfter(t);
+        for (double u = t; u < edge && u < 7.0; u += 0.01) {
+            const auto au = sched.activeAt(u);
+            ASSERT_EQ(at.has_value(), au.has_value()) << t << " " << u;
+            if (at) {
+                EXPECT_EQ(at->freqHz, au->freqHz) << t << " " << u;
+            }
+        }
+    }
 }
 
 TEST(AttackScheduleTest, PaperScenarios)

@@ -16,13 +16,19 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":7,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":8,", 0), 0u) << json;
     EXPECT_EQ(jsonNumber(json, "schema_version"),
               static_cast<double>(kBenchSchemaVersion));
     // Version-3/4 provenance keys are always present.
     EXPECT_EQ(jsonNumber(json, "seed"), 0.0);
     EXPECT_EQ(jsonString(json, "defense_mode"), "static");
     EXPECT_EQ(jsonString(json, "exec_backend"), "block");
+    // Version-8 sleeping-quanta counter sits next to the running one.
+    report.quanta = 7;
+    report.sleepQuanta = 5;
+    const std::string counted = report.toJson();
+    EXPECT_EQ(jsonNumber(counted, "quanta"), 7.0);
+    EXPECT_EQ(jsonNumber(counted, "sleep_quanta"), 5.0);
     // trace_out only appears when a trace was written.
     EXPECT_EQ(json.find("trace_out"), std::string::npos);
     report.traceOut = "out/trace.jsonl";

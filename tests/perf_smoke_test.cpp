@@ -177,5 +177,66 @@ TEST(PerfSmokeTest, QuietSliceCoalescesAndHoldsThroughputFloor)
               << " quanta coalesced\n";
 }
 
+/**
+ * Fused EMI-active kernel guard (DESIGN.md §14.1): a Table-I cell — the
+ * FR5994 comparator path under a continuous 35 dBm tone at its 5 MHz
+ * resonance, GECKO on the 1 Hz square-wave supply — must (a) step at
+ * least 80 % of its quanta, running and sleeping, through the fused
+ * kernel and (b) hold a conservative stepped-quanta-per-wall-second
+ * floor.  Like the quiet-slice floor, it sits ~50x below what a
+ * Release build reaches (2.8e7 quanta/s with the kernel, 1.4e7
+ * without it, on a 4-core host), so sanitizer builds and loaded CI
+ * hosts clear it and it trips only on a collapse of the quantum loop;
+ * the coverage assertion is what catches a kernel that stops
+ * engaging.
+ */
+TEST(PerfSmokeTest, ToneSliceFusesAndHoldsQuantumFloor)
+{
+    static const compiler::CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), compiler::Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+
+    double bestWallS = 0.0;
+    std::uint64_t stepped = 0;
+    std::uint64_t fused = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+        sim::IoHub io;
+        workloads::setupIo("sensor_loop", io);
+        energy::SquareWaveHarvester wave(3.3, 5.0, 0.5, 0.5);
+        sim::SimConfig config;
+        config.monitorKind = analog::MonitorKind::kComparator;
+        config.cap.capacitanceF = 1e-3;
+        config.coalesceQuanta = 64;
+        attack::RemoteRig rig(dev, analog::MonitorKind::kComparator, 0.1);
+        attack::EmiSource source(rig, 5e6, 35.0);
+
+        sim::IntermittentSim simulation(compiled, dev, config, wave, io);
+        simulation.machine().setExecBackend(sim::ExecBackend::kBlock);
+        simulation.setEmiSource(&source);
+
+        auto t0 = std::chrono::steady_clock::now();
+        simulation.run(0.3);
+        auto t1 = std::chrono::steady_clock::now();
+        double wall = std::chrono::duration<double>(t1 - t0).count();
+        if (rep == 0 || wall < bestWallS)
+            bestWallS = wall;
+        const sim::SimStats& s = simulation.stats;
+        stepped = s.quanta - s.coalescedQuanta + s.sleepQuanta;
+        fused = s.fusedQuanta;
+    }
+
+    ASSERT_GT(stepped, 100'000u) << "slice too short to time";
+    EXPECT_GE(static_cast<double>(fused), 0.8 * static_cast<double>(stepped))
+        << "fused kernel stepped only " << fused << " of " << stepped
+        << " quanta";
+    const double quantaPerS = static_cast<double>(stepped) / bestWallS;
+    EXPECT_GE(quantaPerS, 5e5)
+        << "tone-slice throughput collapsed: " << quantaPerS
+        << " stepped quanta/s (" << stepped << " in " << bestWallS << "s)";
+    std::cout << "[perf_smoke] tone slice: " << quantaPerS
+              << " stepped quanta/s, " << fused << "/" << stepped
+              << " quanta fused\n";
+}
+
 }  // namespace
 }  // namespace gecko

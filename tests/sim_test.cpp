@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
 #include "device/device_db.hpp"
@@ -218,6 +220,54 @@ TEST(IntermittentSimTest, MaskedBackupWindowCausesCheckpointFailures)
     sim.run(5.0);
 
     EXPECT_GT(sim.checkpointFailureRate(), 0.0);
+}
+
+TEST(IntermittentSimTest, JitVetoReadFollowsTheAbortWindow)
+{
+    // CTPL re-reads the wake condition exactly once, right after word
+    // max(jitAbortWindowWords, 1) of each attempt.  Both fault hooks
+    // are identity here and only log the order of the per-word write
+    // calls (their word index) and the monitor reads (-1).
+    for (int window : {0, 48}) {
+        Bench bench("sensor_loop", Scheme::kNvp);
+        energy::SquareWaveHarvester wave(3.3, 5.0, 0.05, 0.05);
+        SimConfig config = bench.simConfig();
+        config.cap.capacitanceF = 47e-6;
+        config.jitAbortWindowWords = window;
+        IntermittentSim sim(bench.prog, DeviceDb::msp430fr5994(), config,
+                            wave, bench.io);
+        std::vector<int> log;
+        sim.setJitWriteFault([&log](int word) {
+            log.push_back(word);
+            return false;
+        });
+        sim.setMonitorFault([&log](double v, double) {
+            log.push_back(-1);
+            return v;
+        });
+        sim.run(0.3);
+        ASSERT_GT(sim.stats.jitCheckpointAttempts, 0u) << window;
+
+        const int vetoWord = window > 0 ? window : 1;
+        std::uint64_t attempts = 0;
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            if (log[i] != 0)
+                continue;  // not the first word of an attempt
+            ++attempts;
+            // Words 0 .. vetoWord-1 in order, then exactly one read,
+            // then word vetoWord.
+            for (int w = 0; w < vetoWord; ++w) {
+                ASSERT_EQ(log.at(i + static_cast<std::size_t>(w)), w)
+                    << "window " << window;
+            }
+            const std::size_t read = i + static_cast<std::size_t>(vetoWord);
+            EXPECT_EQ(log.at(read), -1) << "window " << window;
+            if (read + 1 < log.size()) {
+                EXPECT_EQ(log[read + 1], vetoWord) << "window " << window;
+            }
+        }
+        EXPECT_EQ(attempts, sim.stats.jitCheckpointAttempts) << window;
+    }
 }
 
 TEST(IntermittentSimTest, RunUntilCompletionsWorks)
