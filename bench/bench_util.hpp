@@ -11,6 +11,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,11 +133,18 @@ telemetry()
  * `--seed=N` (overrides `GECKO_SEED`; see exp/rng.hpp), and
  * `--trace=PATH` (overrides `GECKO_TRACE_OUT`) to write a merged event
  * trace of every sweep point — `.json` gets Chrome-trace/Perfetto
- * format, anything else JSONL (see trace/export.hpp).
+ * format, anything else JSONL (see trace/export.hpp).  An unrecognised
+ * `GECKO_EXEC` exits with status 2 before any work starts.
  */
 inline void
 init(int argc, char** argv)
 {
+    try {
+        sim::defaultExecBackend();  // reject a bad GECKO_EXEC up front
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "[bench] " << e.what() << "\n";
+        std::exit(2);
+    }
     std::string traceOut;
     if (const char* env = std::getenv("GECKO_TRACE_OUT"); env && *env)
         traceOut = env;

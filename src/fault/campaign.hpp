@@ -149,7 +149,7 @@ std::vector<CaseSpec> makeCampaignCases(const CampaignConfig& config);
  *        GECKO_WATCHDOG, falling back to 400000.
  * @param backend execution tier of the victim machine.  The injection
  *        schedule and the oracle are tier-independent, so any two
- *        backends must produce identical CaseResults — the three-way
+ *        backends must produce identical CaseResults — the step/block
  *        differential in fuzz_test holds the campaign to that.
  */
 CaseResult runCase(const CaseSpec& spec, double simTimeBudgetS = 1.5,

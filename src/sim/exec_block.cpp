@@ -35,19 +35,20 @@
  *     conservative block-entry energy check: a superblock can never run
  *     past the point where the capacitor could cross an armed
  *     threshold.  Budget tails, cold blocks, and mid-block entry PCs
- *     (JIT-checkpoint image restores land anywhere) fall back to an
- *     inline per-instruction interpreter (a clone of runFast's switch)
- *     that re-enters block dispatch after every instruction — so a
- *     quantum that stopped mid-block realigns to the next leader within
- *     a few instructions instead of losing the whole following quantum.
- *     Every architectural event — faults, halts, commits, trace events
- *     — happens at the same instruction with the same counters as the
- *     step/fast tiers.  machine_test and fuzz_test assert this
- *     three-way equivalence.
+ *     (JIT-checkpoint image restores land anywhere) fall back to
+ *     stepDecoded, a per-instruction interpreter over the predecoded
+ *     program, and re-enter block dispatch after every instruction — so
+ *     a quantum that stopped mid-block realigns to the next leader
+ *     within a few instructions instead of losing the whole following
+ *     quantum.  Every architectural event — faults, halts, commits,
+ *     trace events — happens at the same instruction with the same
+ *     counters as the reference step() tier.  machine_test and
+ *     fuzz_test assert this equivalence.
  */
 
 // Threaded dispatch needs GNU computed goto.  Elsewhere the block tier
-// degrades to the fast tier — identical semantics, lower throughput.
+// steps every instruction through stepDecoded — identical semantics,
+// lower throughput.
 #if defined(__GNUC__) || defined(__clang__)
 #define GECKO_COMPUTED_GOTO 1
 #else
@@ -61,16 +62,6 @@ using ir::Opcode;
 
 
 namespace {
-
-/** Committed output-words total, the exactly-once I/O witness. */
-[[maybe_unused]] std::uint64_t
-committedOutTotal(const Nvm& nvm)
-{
-    std::uint64_t total = 0;
-    for (int p = 0; p < kIoPorts; ++p)
-        total += nvm.outCount[static_cast<std::size_t>(p)];
-    return total;
-}
 
 /** Binary-ALU micro-op kind (relies on matching enum layouts). */
 UopKind
@@ -565,10 +556,11 @@ Machine::StepExit
 Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
                      std::uint64_t& instrs)
 {
-    // One instruction of runFast's dispatch body, verbatim: the block
-    // backend's precise fallback for budget tails, cold blocks and
-    // mid-block entry pcs.  The caller re-enters block dispatch after
-    // every instruction, so execution realigns with the next leader.
+    // One predecoded instruction (the caller checks pc < size): the
+    // block backend's precise fallback for budget tails, cold blocks
+    // and mid-block entry pcs.  The caller re-enters block dispatch
+    // after every instruction, so execution realigns with the next
+    // leader.
     const Decoded& d = decoded_[pc];
     const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
     const bool staged = stagedIo_;
@@ -709,7 +701,7 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
         if (staged)
             commitIo();
         GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                          stats.completions, committedOutTotal(nvm));
+                          stats.completions, nvm.committedOutTotal());
         if (continuous_) {
             restartProgram();
             pc = 0;
@@ -734,6 +726,26 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
     }
     pc = next;
     return StepExit::kContinue;
+}
+
+RunExit
+Machine::finishRun(RunExit exit, std::uint32_t pc, std::uint64_t& instrs,
+                   std::uint64_t cycles, std::uint64_t* consumed)
+{
+    // Flush a run's locals on its exit edge.  A faulting instruction is
+    // counted and the PC stays on it; a non-tolerant machine throws out
+    // of fault() with this run's cycles uncounted, as step() does.
+    // `instrs` is zeroed first so the caller's catch handler does not
+    // count it twice.
+    pc_ = pc;
+    stats.instrs += instrs;
+    instrs = 0;
+    if (exit == RunExit::kFaulted)
+        fault();
+    stats.cycles += cycles;
+    if (consumed)
+        *consumed = cycles;
+    return exit;
 }
 
 #if GECKO_COMPUTED_GOTO
@@ -780,9 +792,10 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     std::uint32_t* const regs = regs_.data();
     const bool btrace = blockTrace_;
 
-    // Hot state in locals (mirrors runFast); counters flush on every
-    // exit edge.  `instrs`/`cycles` advance at block granularity — the
-    // fault path reconstructs mid-block counts from Uop::costPrefix.
+    // Hot state lives in locals so the dispatch loop keeps it in
+    // registers; counters flush on every exit edge (finishRun).
+    // `instrs`/`cycles` advance at block granularity — the fault path
+    // reconstructs mid-block counts from Uop::costPrefix.
     std::uint32_t pc = pc_;
     std::uint64_t cycles = 0;
     std::uint64_t instrs = 0;
@@ -897,10 +910,9 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto enter;
 
         // ---- Per-instruction fallback -----------------------------
-        // stepDecoded executes exactly one instruction (a clone of
-        // runFast's dispatch body), then control re-enters block
-        // dispatch: deopts are instruction-precise and threaded
-        // execution resumes at the very next leader.
+        // stepDecoded executes exactly one instruction, then control
+        // re-enters block dispatch: deopts are instruction-precise and
+        // threaded execution resumes at the very next leader.
       deopt:
         if (btrace)
             GECKO_TRACE_EVENT(trace::EventKind::kBlockDeopt, deoptReason,
@@ -909,28 +921,14 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
           case StepExit::kContinue:
             goto enter;
           case StepExit::kHalted:
-            pc_ = pc;
-            stats.instrs += instrs;
-            stats.cycles += cycles;
-            if (consumed)
-                *consumed = cycles;
-            return RunExit::kHalted;
+            return finishRun(RunExit::kHalted, pc, instrs, cycles,
+                             consumed);
           case StepExit::kFaulted:
             break;
         }
 
       fault_common:
-        // Mirror runFast's fault_instr: the faulting instruction is
-        // counted, the PC stays on it, and a non-tolerant machine throws
-        // with this run's cycles uncounted.
-        pc_ = pc;
-        stats.instrs += instrs;
-        instrs = 0;
-        fault();  // throws unless fault-tolerant
-        stats.cycles += cycles;
-        if (consumed)
-            *consumed = cycles;
-        return RunExit::kFaulted;
+        return finishRun(RunExit::kFaulted, pc, instrs, cycles, consumed);
 
         // ---- Straight-line micro-ops ------------------------------
       u_nop:
@@ -1163,21 +1161,17 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         if (stagedIo_)
             commitIo();
         GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                          stats.completions, committedOutTotal(nvm));
+                          stats.completions, nvm.committedOutTotal());
         if (continuous_) {
             restartProgram();
             pc = 0;
             goto enter;
         }
         halted_ = true;
-        pc_ = b->start + b->len - 1;
+        pc = b->start + b->len - 1;
         if (btrace)
-            GECKO_TRACE_EVENT(trace::EventKind::kBlockExit, 0, pc_, cycles);
-        stats.instrs += instrs;
-        stats.cycles += cycles;
-        if (consumed)
-            *consumed = cycles;
-        return RunExit::kHalted;
+            GECKO_TRACE_EVENT(trace::EventKind::kBlockExit, 0, pc, cycles);
+        return finishRun(RunExit::kHalted, pc, instrs, cycles, consumed);
       u_fall:
         cycles += b->cost;
         instrs += b->len;
@@ -1413,14 +1407,9 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto fault_common;
 
       budget_out:
-        pc_ = pc;
         if (btrace)
             GECKO_TRACE_EVENT(trace::EventKind::kBlockExit, 0, pc, cycles);
-        stats.instrs += instrs;
-        stats.cycles += cycles;
-        if (consumed)
-            *consumed = cycles;
-        return RunExit::kBudget;
+        return finishRun(RunExit::kBudget, pc, instrs, cycles, consumed);
     } catch (...) {
         stats.instrs += instrs;
         pc_ = pc;
@@ -1438,7 +1427,30 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
 RunExit
 Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
 {
-    return runFast(cycleBudget, consumed);
+    // No threaded code: every instruction takes the threaded loop's
+    // deopt path, with the same exit accounting.
+    const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
+    std::uint32_t pc = pc_;
+    std::uint64_t cycles = 0;
+    std::uint64_t instrs = 0;
+    try {
+        while (cycles < cycleBudget) {
+            const StepExit step = pc < size
+                                      ? stepDecoded(pc, cycles, instrs)
+                                      : StepExit::kFaulted;
+            if (step == StepExit::kHalted)
+                return finishRun(RunExit::kHalted, pc, instrs, cycles,
+                                 consumed);
+            if (step == StepExit::kFaulted)
+                return finishRun(RunExit::kFaulted, pc, instrs, cycles,
+                                 consumed);
+        }
+    } catch (...) {
+        stats.instrs += instrs;
+        pc_ = pc;
+        throw;
+    }
+    return finishRun(RunExit::kBudget, pc, instrs, cycles, consumed);
 }
 
 #endif  // GECKO_COMPUTED_GOTO

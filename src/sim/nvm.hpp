@@ -282,6 +282,16 @@ class Nvm
     std::array<std::uint32_t, kIoPorts> inCount{};
     std::array<std::uint32_t, kIoPorts> outCount{};
 
+    /// Committed output words over all ports: the exactly-once I/O
+    /// witness carried by kCompletion trace events.
+    std::uint64_t committedOutTotal() const
+    {
+        std::uint64_t total = 0;
+        for (std::uint32_t n : outCount)
+            total += n;
+        return total;
+    }
+
   private:
     std::vector<std::uint32_t> data_;
 };

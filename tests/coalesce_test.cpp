@@ -169,8 +169,7 @@ runQuiet(int coalesceQuanta, sim::ExecBackend backend)
 TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
 {
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         Obs on = runQuiet(64, backend);
         Obs off = runQuiet(0, backend);
@@ -261,8 +260,7 @@ TEST_P(CoalesceEmiFuzzTest, RandomEmiSchedulesUnchangedByCoalescing)
         static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
     std::uint64_t engaged = 0;
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         Obs on = runEmi(seed, backend, 64);
         Obs off = runEmi(seed, backend, 0);
@@ -495,8 +493,7 @@ TEST(FusedKernelTest, EmiActiveMatrixMatchesSteppedPath)
                      {FaultArm::kNone, FaultArm::kJitWrite,
                       FaultArm::kMonitor})
                     for (sim::ExecBackend backend :
-                         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-                          sim::ExecBackend::kBlock}) {
+                         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
                         const KernelCase c{monitor, scheme, scheduled,
                                            fault};
                         const std::string name = kernelCaseName(c, backend);

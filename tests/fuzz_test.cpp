@@ -339,8 +339,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
                          });
 
 // ---------------------------------------------------------------------
-// Three-way execution-tier differential: the step, fast, and block
-// backends must be observationally indistinguishable under hostile
+// Execution-tier differential: the reference step tier and the block
+// backend must be observationally indistinguishable under hostile
 // environments — random EMI attack schedules and every fault injector —
 // down to the trace stream.
 // ---------------------------------------------------------------------
@@ -421,20 +421,15 @@ TEST_P(BackendFuzzTest, RandomEmiSchedulesAgreeAcrossTiers)
         exp::applyGlobalSeed(GetParam()));
     TierObservation ref = runEmiTier(seed, sim::ExecBackend::kStep);
     ASSERT_GT(ref.stats.cycles, 0u);
-    for (sim::ExecBackend backend :
-         {sim::ExecBackend::kFast, sim::ExecBackend::kBlock}) {
-        TierObservation obs = runEmiTier(seed, backend);
-        const char* name = sim::execBackendName(backend);
-        EXPECT_TRUE(obs.stats == ref.stats)
-            << name << " diverged in ExecStats (seed " << seed << ")";
-        EXPECT_EQ(obs.regs, ref.regs) << name << " seed " << seed;
-        EXPECT_EQ(obs.out, ref.out) << name << " seed " << seed;
-        EXPECT_EQ(obs.memory, ref.memory) << name << " seed " << seed;
-        EXPECT_TRUE(obs.events == ref.events)
-            << name << " diverged in the trace stream (seed " << seed
-            << ": " << obs.events.size() << " vs " << ref.events.size()
-            << " events)";
-    }
+    TierObservation obs = runEmiTier(seed, sim::ExecBackend::kBlock);
+    EXPECT_TRUE(obs.stats == ref.stats)
+        << "block diverged in ExecStats (seed " << seed << ")";
+    EXPECT_EQ(obs.regs, ref.regs) << "seed " << seed;
+    EXPECT_EQ(obs.out, ref.out) << "seed " << seed;
+    EXPECT_EQ(obs.memory, ref.memory) << "seed " << seed;
+    EXPECT_TRUE(obs.events == ref.events)
+        << "block diverged in the trace stream (seed " << seed << ": "
+        << obs.events.size() << " vs " << ref.events.size() << " events)";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendFuzzTest,
@@ -550,8 +545,7 @@ TEST_P(SnapshotFuzzTest, MidRunSnapshotRestoreIsInvisible)
     auto seed = static_cast<std::uint32_t>(
         exp::applyGlobalSeed(GetParam()));
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         TierObservation ref = runEmiSliced(seed, backend, -1);
         ASSERT_GT(ref.stats.cycles, 0u) << name << " seed " << seed;
@@ -610,14 +604,13 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
 
             // Warm the golden-oracle cache outside any trace buffer so
             // the first tier doesn't record the oracle's own events.
-            fault::runCase(spec, 0.5, 0, sim::ExecBackend::kFast);
+            fault::runCase(spec, 0.5, 0);
 
             CaseResult ref;
             std::vector<trace::Event> refEvents;
             bool first = true;
             for (sim::ExecBackend backend :
-                 {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-                  sim::ExecBackend::kBlock}) {
+                 {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
                 trace::Buffer buffer;
                 CaseResult r;
                 {

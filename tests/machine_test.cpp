@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "compiler/pipeline.hpp"
@@ -250,145 +250,93 @@ TEST_P(WorkloadGoldenTest, InstrumentationPreservesSemantics)
     EXPECT_EQ(ra.io.output(0).values(), rc.io.output(0).values());
 }
 
-TEST_P(WorkloadGoldenTest, FastAndSlowDispatchBitIdentical)
+TEST_P(WorkloadGoldenTest, StepBlockDifferentialBitIdentical)
 {
-    // The predecoded fast path must be architecturally indistinguishable
-    // from the reference step() loop: same counters, same NVM image,
-    // same outputs, same resting PC — on every workload and scheme,
-    // with an odd budget slice so runs stop at varied mid-program PCs.
+    // The production block-compiled backend must be indistinguishable
+    // from the reference step() interpreter — counters, NVM, outputs,
+    // registers, resting PC — on every workload and scheme.  The odd
+    // budget slice stops runs at varied mid-block PCs, exercising the
+    // block backend's budget-tail deoptimization every slice.
     Program p = workloads::build(GetParam());
     for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
         CompiledProgram c = compiler::compile(p, scheme);
-        Rig fast_rig, slow_rig;
-        workloads::setupIo(GetParam(), fast_rig.io);
-        workloads::setupIo(GetParam(), slow_rig.io);
-        Machine fast(c, fast_rig.nvm, fast_rig.io);
-        Machine slow(c, slow_rig.nvm, slow_rig.io);
-        fast.setFastDispatch(true);
-        slow.setFastDispatch(false);
-        fast.setStagedIo(scheme != Scheme::kNvp);
-        slow.setStagedIo(scheme != Scheme::kNvp);
+        Rig step_rig, block_rig;
+        workloads::setupIo(GetParam(), step_rig.io);
+        workloads::setupIo(GetParam(), block_rig.io);
+        Machine ref(c, step_rig.nvm, step_rig.io);
+        Machine block(c, block_rig.nvm, block_rig.io);
+        ref.setExecBackend(ExecBackend::kStep);
+        block.setExecBackend(ExecBackend::kBlock);
+        ref.setStagedIo(scheme != Scheme::kNvp);
+        block.setStagedIo(scheme != Scheme::kNvp);
 
-        while (!fast.halted() || !slow.halted()) {
-            std::uint64_t fast_consumed = 0, slow_consumed = 0;
-            RunExit fast_exit = fast.run(777, &fast_consumed);
-            RunExit slow_exit = slow.run(777, &slow_consumed);
-            ASSERT_EQ(fast_exit, slow_exit) << GetParam();
-            ASSERT_EQ(fast_consumed, slow_consumed) << GetParam();
-            ASSERT_EQ(fast.pc(), slow.pc()) << GetParam();
-            ASSERT_TRUE(fast.stats == slow.stats) << GetParam();
-            ASSERT_LT(fast.stats.cycles, 1ull << 32) << "non-terminating";
-        }
-        EXPECT_EQ(fast.regs(), slow.regs());
-        EXPECT_EQ(fast_rig.nvm.data(), slow_rig.nvm.data());
-        EXPECT_EQ(fast_rig.io.output(0).values(),
-                  slow_rig.io.output(0).values());
-        EXPECT_FALSE(fast_rig.io.output(0).values().empty());
-    }
-}
-
-TEST_P(WorkloadGoldenTest, ThreeTierDifferentialBitIdentical)
-{
-    // The full tier ladder: reference step(), predecoded fast dispatch,
-    // and the block-compiled superinstruction backend must be pairwise
-    // indistinguishable — counters, NVM, outputs, registers, resting
-    // PC — on every workload and scheme.  The odd budget slice stops
-    // runs at varied mid-block PCs, exercising the block backend's
-    // budget-tail deoptimization every slice.
-    Program p = workloads::build(GetParam());
-    for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
-        CompiledProgram c = compiler::compile(p, scheme);
-        Rig rigs[3];
-        std::vector<std::unique_ptr<Machine>> tiers;
-        const ExecBackend kinds[3] = {ExecBackend::kStep,
-                                      ExecBackend::kFast,
-                                      ExecBackend::kBlock};
-        for (int i = 0; i < 3; ++i) {
-            workloads::setupIo(GetParam(), rigs[i].io);
-            tiers.push_back(std::make_unique<Machine>(c, rigs[i].nvm,
-                                                      rigs[i].io));
-            tiers[i]->setExecBackend(kinds[i]);
-            tiers[i]->setStagedIo(scheme != Scheme::kNvp);
-        }
-        Machine& ref = *tiers[0];
-
-        while (!ref.halted() || !tiers[1]->halted() ||
-               !tiers[2]->halted()) {
-            std::uint64_t refConsumed = 0;
+        while (!ref.halted() || !block.halted()) {
+            std::uint64_t refConsumed = 0, blockConsumed = 0;
             RunExit refExit = ref.run(777, &refConsumed);
-            for (int i = 1; i < 3; ++i) {
-                std::uint64_t consumed = 0;
-                RunExit exit = tiers[i]->run(777, &consumed);
-                ASSERT_EQ(exit, refExit)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_EQ(consumed, refConsumed)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_EQ(tiers[i]->pc(), ref.pc())
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_TRUE(tiers[i]->stats == ref.stats)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-            }
+            RunExit blockExit = block.run(777, &blockConsumed);
+            ASSERT_EQ(blockExit, refExit) << GetParam();
+            ASSERT_EQ(blockConsumed, refConsumed) << GetParam();
+            ASSERT_EQ(block.pc(), ref.pc()) << GetParam();
+            ASSERT_TRUE(block.stats == ref.stats) << GetParam();
             ASSERT_LT(ref.stats.cycles, 1ull << 32) << "non-terminating";
         }
-        for (int i = 1; i < 3; ++i) {
-            EXPECT_EQ(tiers[i]->regs(), ref.regs());
-            EXPECT_EQ(rigs[i].nvm.data(), rigs[0].nvm.data());
-            EXPECT_EQ(rigs[i].io.output(0).values(),
-                      rigs[0].io.output(0).values());
-        }
-        EXPECT_FALSE(rigs[0].io.output(0).values().empty());
+        EXPECT_EQ(block.regs(), ref.regs());
+        EXPECT_EQ(block_rig.nvm.data(), step_rig.nvm.data());
+        EXPECT_EQ(block_rig.io.output(0).values(),
+                  step_rig.io.output(0).values());
+        EXPECT_FALSE(step_rig.io.output(0).values().empty());
     }
 }
 
-TEST(MachineTest, FastDispatchContinuousModeMatchesSlow)
+TEST(MachineTest, BlockContinuousModeMatchesStep)
 {
-    // Continuous sensing mode restarts the program at kHalt; both
-    // dispatch paths must agree across many restarts, including the
-    // pending-I/O staging counters.
+    // Continuous sensing mode restarts the program at kHalt; both tiers
+    // must agree across many restarts, including the pending-I/O
+    // staging counters.
     Program p = workloads::build("sensor_loop");
     CompiledProgram c = compiler::compile(p, Scheme::kGecko);
-    Rig fast_rig, slow_rig;
-    workloads::setupIo("sensor_loop", fast_rig.io);
-    workloads::setupIo("sensor_loop", slow_rig.io);
-    Rig block_rig;
+    Rig step_rig, block_rig;
+    workloads::setupIo("sensor_loop", step_rig.io);
     workloads::setupIo("sensor_loop", block_rig.io);
-    Machine fast(c, fast_rig.nvm, fast_rig.io);
-    Machine slow(c, slow_rig.nvm, slow_rig.io);
+    Machine ref(c, step_rig.nvm, step_rig.io);
     Machine block(c, block_rig.nvm, block_rig.io);
-    fast.setExecBackend(ExecBackend::kFast);
-    slow.setExecBackend(ExecBackend::kStep);
+    ref.setExecBackend(ExecBackend::kStep);
     block.setExecBackend(ExecBackend::kBlock);
-    for (Machine* m : {&fast, &slow, &block}) {
+    for (Machine* m : {&ref, &block}) {
         m->setStagedIo(true);
         m->setContinuous(true);
     }
 
     for (int slice = 0; slice < 64; ++slice) {
-        std::uint64_t fast_consumed = 0, slow_consumed = 0,
-                      block_consumed = 0;
-        RunExit fast_exit = fast.run(1231, &fast_consumed);
-        RunExit slow_exit = slow.run(1231, &slow_consumed);
+        std::uint64_t ref_consumed = 0, block_consumed = 0;
+        RunExit ref_exit = ref.run(1231, &ref_consumed);
         RunExit block_exit = block.run(1231, &block_consumed);
-        ASSERT_EQ(fast_exit, slow_exit);
-        ASSERT_EQ(block_exit, slow_exit);
-        ASSERT_EQ(fast_consumed, slow_consumed);
-        ASSERT_EQ(block_consumed, slow_consumed);
-        ASSERT_EQ(fast.pc(), slow.pc());
-        ASSERT_EQ(block.pc(), slow.pc());
-        ASSERT_TRUE(fast.stats == slow.stats);
-        ASSERT_TRUE(block.stats == slow.stats);
+        ASSERT_EQ(block_exit, ref_exit);
+        ASSERT_EQ(block_consumed, ref_consumed);
+        ASSERT_EQ(block.pc(), ref.pc());
+        ASSERT_TRUE(block.stats == ref.stats);
     }
-    EXPECT_GT(fast.stats.completions, 0u);
-    EXPECT_EQ(fast.pendingIn(), slow.pendingIn());
-    EXPECT_EQ(fast.pendingOut(), slow.pendingOut());
-    EXPECT_EQ(block.pendingIn(), slow.pendingIn());
-    EXPECT_EQ(block.pendingOut(), slow.pendingOut());
-    EXPECT_EQ(fast_rig.nvm.data(), slow_rig.nvm.data());
-    EXPECT_EQ(block_rig.nvm.data(), slow_rig.nvm.data());
-    EXPECT_EQ(fast_rig.io.output(0).values(),
-              slow_rig.io.output(0).values());
+    EXPECT_GT(block.stats.completions, 0u);
+    EXPECT_EQ(block.pendingIn(), ref.pendingIn());
+    EXPECT_EQ(block.pendingOut(), ref.pendingOut());
+    EXPECT_EQ(block_rig.nvm.data(), step_rig.nvm.data());
     EXPECT_EQ(block_rig.io.output(0).values(),
-              slow_rig.io.output(0).values());
+              step_rig.io.output(0).values());
+}
+
+TEST(MachineTest, ParseExecBackendAcceptsOnlyStepAndBlock)
+{
+    EXPECT_EQ(parseExecBackend("step"), ExecBackend::kStep);
+    EXPECT_EQ(parseExecBackend("block"), ExecBackend::kBlock);
+    // Unset or empty selects the production default.
+    EXPECT_EQ(parseExecBackend(nullptr), ExecBackend::kBlock);
+    EXPECT_EQ(parseExecBackend(""), ExecBackend::kBlock);
+    // The retired tier and its old alias, and near-miss typos, are
+    // rejected rather than silently mapped to a default.
+    EXPECT_EQ(parseExecBackend("fast"), std::nullopt);
+    EXPECT_EQ(parseExecBackend("slow"), std::nullopt);
+    EXPECT_EQ(parseExecBackend("Block"), std::nullopt);
+    EXPECT_EQ(parseExecBackend("blocks"), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadGoldenTest,

@@ -18,14 +18,14 @@
 /**
  * @file
  * Perf smoke (ctest label `perf`): a short fig13 slice — the attacked
- * sensor app on duty-cycled power — run under the fast-dispatch and
+ * sensor app on duty-cycled power — run under the reference step() and
  * block-compiled backends.  Fails if
- *  - the block backend diverges from fast dispatch in any observable
- *    final state (the figures' byte-identical-stdout guarantee), or
- *  - the block backend is more than 10% *slower* than fast dispatch
- *    (a regression guard, not a speedup assertion: wall-clock ratios
- *    on shared CI hosts are too noisy to gate the 3x target, which is
- *    recorded in BENCH_sweeps.json instead).
+ *  - the block backend diverges from step() in any observable final
+ *    state (the figures' byte-identical-stdout guarantee), or
+ *  - the block backend takes more than 0.45x the step() wall time.
+ *    On a 4-core host the ratio is 0.19-0.23x in RelWithDebInfo and
+ *    0.17x under ASan+UBSan or TSan, so the bound trips on a real
+ *    regression of the block tier, not on CI noise.
  * Each backend takes the best of three timed runs to damp scheduler
  * noise.
  */
@@ -91,28 +91,27 @@ runSlice(sim::ExecBackend backend, int reps)
     return result;
 }
 
-TEST(PerfSmokeTest, BlockBackendKeepsPaceWithFastDispatch)
+TEST(PerfSmokeTest, BlockBackendOutpacesStepReference)
 {
-    SliceResult fast = runSlice(sim::ExecBackend::kFast, 3);
+    SliceResult step = runSlice(sim::ExecBackend::kStep, 3);
     SliceResult block = runSlice(sim::ExecBackend::kBlock, 3);
 
     // Divergence in final machine state fails regardless of timing.
-    EXPECT_TRUE(block.stats == fast.stats)
+    EXPECT_TRUE(block.stats == step.stats)
         << "block backend diverged in ExecStats";
-    EXPECT_EQ(block.regs, fast.regs);
-    EXPECT_EQ(block.pc, fast.pc);
-    EXPECT_EQ(block.out, fast.out);
-    EXPECT_EQ(block.memory, fast.memory);
-    ASSERT_GT(fast.stats.cycles, 1'000'000u) << "slice too short to time";
+    EXPECT_EQ(block.regs, step.regs);
+    EXPECT_EQ(block.pc, step.pc);
+    EXPECT_EQ(block.out, step.out);
+    EXPECT_EQ(block.memory, step.memory);
+    ASSERT_GT(step.stats.cycles, 1'000'000u) << "slice too short to time";
 
-    EXPECT_LE(block.bestWallS, fast.bestWallS * 1.10)
+    EXPECT_LE(block.bestWallS, step.bestWallS * 0.45)
         << "block backend regressed: " << block.bestWallS
-        << "s vs fast " << fast.bestWallS << "s";
+        << "s vs step " << step.bestWallS << "s";
 
-    // Informational: the recorded speedup lives in BENCH_sweeps.json.
-    std::cout << "[perf_smoke] fast " << fast.bestWallS << "s, block "
+    std::cout << "[perf_smoke] step " << step.bestWallS << "s, block "
               << block.bestWallS << "s ("
-              << fast.bestWallS / block.bestWallS << "x)\n";
+              << step.bestWallS / block.bestWallS << "x)\n";
 }
 
 /**
