@@ -16,6 +16,7 @@
 
 #include "exp/thread_pool.hpp"
 #include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 #include "metrics/table.hpp"
 
 /**
@@ -52,9 +53,8 @@ const std::vector<std::string> kFigures = {
 
 struct FigureResult {
     std::string figure;
-    /// Child telemetry schema version; records predating the
-    /// `schema_version` key are version 1.
-    int schemaVersion = 1;
+    /// Child telemetry schema version (0 = no readable record).
+    int schemaVersion = 0;
     double wallS = 0.0;
     double serialWallS = 0.0;
     double simCycles = 0.0;
@@ -63,15 +63,14 @@ struct FigureResult {
     /// report "pass" when they exit 0).
     std::string status = "fail";
     /// Execution tier the child reported ("step"/"block"; "unknown"
-    /// for records predating schema v4).
+    /// when it wrote no record).
     std::string execBackend = "unknown";
     double corruptedRestores = 0.0;
     double crcRejects = 0.0;
     double retriesExhausted = 0.0;
-    /// Quantum-loop telemetry (schema v5; 0 for older records).
+    /// Quantum-loop telemetry: running, coalesced and sleeping quanta.
     double quanta = 0.0;
     double coalescedQuanta = 0.0;
-    /// Sleeping quanta (schema v8; 0 for older records).
     double sleepQuanta = 0.0;
     bool ok = false;
 };
@@ -82,15 +81,6 @@ dirName(const std::string& path)
     std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? std::string(".")
                                       : path.substr(0, slash);
-}
-
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 /**
@@ -279,8 +269,6 @@ installSuiteSignalFlush()
 int
 main(int argc, char** argv)
 {
-    using gecko::metrics::jsonNumber;
-
     bool baseline = false;
     bool quick = false;
     std::string outPath = "BENCH_sweeps.json";
@@ -318,9 +306,7 @@ main(int argc, char** argv)
     installSuiteSignalFlush();
 
     std::vector<FigureResult> results;
-    double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
-    double totalCorrupted = 0.0, totalCrcRejects = 0.0,
-           totalRetriesExhausted = 0.0;
+    double totalWall = 0.0, totalSerial = 0.0;
     int failures = 0;
 
     for (const std::string& fig : figures) {
@@ -361,29 +347,28 @@ main(int argc, char** argv)
         std::cerr << gecko::metrics::fmt(r.wallS, 2) << "s"
                   << (r.ok ? "" : " FAILED") << "\n";
 
-        std::string childJson = readFile(jsonPath);
-        // Tolerant read: unknown keys are skipped by the find-based
-        // extractors, so newer child records still aggregate here.
-        r.schemaVersion = static_cast<int>(
-            jsonNumber(childJson, "schema_version").value_or(1.0));
-        r.simCycles = jsonNumber(childJson, "sim_cycles").value_or(0.0);
-        r.status = gecko::metrics::jsonString(childJson, "status")
-                       .value_or(r.ok ? "pass" : "fail");
-        r.execBackend =
-            gecko::metrics::jsonString(childJson, "exec_backend")
-                .value_or("unknown");
+        // The child record is a one-line journal: a missing, torn or
+        // unparseable one reads as a failure, like a dead child; a
+        // child without a verdict passes by its exit status.
+        gecko::metrics::readJsonl(jsonPath, [&](const auto& child) {
+            std::uint64_t schemaVersion = 0;
+            if (!child.at("schema_version", &schemaVersion))
+                return false;
+            r.schemaVersion = static_cast<int>(schemaVersion);
+            child.at("sim_cycles", &r.simCycles);
+            if (!child.at("status", &r.status))
+                r.status = "pass";
+            child.at("exec_backend", &r.execBackend);
+            child.at("corrupted_restores", &r.corruptedRestores);
+            child.at("crc_rejects", &r.crcRejects);
+            child.at("retries_exhausted", &r.retriesExhausted);
+            child.at("quanta", &r.quanta);
+            child.at("coalesced_quanta", &r.coalescedQuanta);
+            child.at("sleep_quanta", &r.sleepQuanta);
+            return true;
+        });
         if (!r.ok)
             r.status = "fail";
-        r.corruptedRestores =
-            jsonNumber(childJson, "corrupted_restores").value_or(0.0);
-        r.crcRejects = jsonNumber(childJson, "crc_rejects").value_or(0.0);
-        r.retriesExhausted =
-            jsonNumber(childJson, "retries_exhausted").value_or(0.0);
-        r.quanta = jsonNumber(childJson, "quanta").value_or(0.0);
-        r.coalescedQuanta =
-            jsonNumber(childJson, "coalesced_quanta").value_or(0.0);
-        r.sleepQuanta =
-            jsonNumber(childJson, "sleep_quanta").value_or(0.0);
 
         if (baseline && r.ok) {
             std::cerr << "[bench_all] " << fig << " (serial) ... "
@@ -397,10 +382,6 @@ main(int argc, char** argv)
             ++failures;
         totalWall += r.wallS;
         totalSerial += r.serialWallS;
-        totalCycles += r.simCycles;
-        totalCorrupted += r.corruptedRestores;
-        totalCrcRejects += r.crcRejects;
-        totalRetriesExhausted += r.retriesExhausted;
         results.push_back(r);
         {
             // Mirror progress into the watcher-visible state so an

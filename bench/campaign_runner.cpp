@@ -11,6 +11,7 @@
 #include "campaign/manifest.hpp"
 #include "device/device_db.hpp"
 #include "fault/spec.hpp"
+#include "metrics/json.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -63,32 +64,6 @@ splitList(const std::string& s)
         if (!item.empty())
             out.push_back(item);
     return out;
-}
-
-compiler::Scheme
-schemeByName(const std::string& name)
-{
-    for (compiler::Scheme s :
-         {compiler::Scheme::kNvp, compiler::Scheme::kRatchet,
-          compiler::Scheme::kGeckoNoPrune, compiler::Scheme::kGecko}) {
-        if (name == compiler::schemeName(s))
-            return s;
-    }
-    throw std::runtime_error("unknown scheme: " + name);
-}
-
-/** Sum every `"key":N` occurrence in `json` (per-group counters). */
-std::uint64_t
-sumAll(const std::string& json, const std::string& key)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::uint64_t total = 0;
-    std::size_t pos = 0;
-    while ((pos = json.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        total += std::strtoull(json.c_str() + pos, nullptr, 10);
-    }
-    return total;
 }
 
 void
@@ -177,8 +152,12 @@ main(int argc, char** argv)
             space.workloads = splitList(arg.substr(12));
         } else if (arg.rfind("--schemes=", 0) == 0) {
             space.schemes.clear();
-            for (const std::string& name : splitList(arg.substr(10)))
-                space.schemes.push_back(schemeByName(name));
+            for (const std::string& name : splitList(arg.substr(10))) {
+                compiler::Scheme s;
+                if (!compiler::schemeFromName(name, &s))
+                    throw std::runtime_error("unknown scheme: " + name);
+                space.schemes.push_back(s);
+            }
         } else if (arg.rfind("--devices=", 0) == 0) {
             space.devices = splitList(arg.substr(10));
         } else if (arg.rfind("--defenses=", 0) == 0) {
@@ -309,8 +288,16 @@ main(int argc, char** argv)
     if (report.complete)
         std::cout << report.aggregateJson << "\n";
 
-    bench::telemetry().simCycles.fetch_add(
-        sumAll(report.aggregateJson, "cycles"));
+    metrics::JsonValue aggregate;
+    const metrics::JsonValue* groups = nullptr;
+    if (metrics::parseJson(report.aggregateJson, &aggregate) &&
+        (groups = aggregate.get("groups"))) {
+        for (const metrics::JsonValue& g : groups->arr) {
+            std::uint64_t cycles = 0;
+            g.at("cycles", &cycles);
+            bench::telemetry().simCycles.fetch_add(cycles);
+        }
+    }
     const std::string status = report.complete
                                    ? (report.jobsQuarantined == 0
                                           ? "pass"

@@ -1,5 +1,6 @@
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "metrics/table.hpp"
 
 /**
@@ -13,9 +14,10 @@
  */
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace gecko;
+    bench::init(argc, argv);
 
     std::cout << "=== Table II: prior EMI countermeasures vs GECKO ===\n\n";
 
@@ -43,5 +45,5 @@ main()
     std::cout << "\nGECKO is the only software-only scheme that keeps "
                  "crash consistency across power failures, which is what "
                  "makes it deployable on intermittent systems.\n";
-    return 0;
+    return bench::writeBenchReport("table2_comparison");
 }

@@ -1,12 +1,13 @@
 #include "adversary/knobs.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
+#include "metrics/json.hpp"
+
 namespace gecko::adversary {
+
+using metrics::numText;
 
 namespace {
 
@@ -14,36 +15,6 @@ double
 clampD(double v, double lo, double hi)
 {
     return std::min(std::max(v, lo), hi);
-}
-
-/** Shortest text that strtod()s back to exactly `v` (spec.cpp idiom). */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
-/** Find `"key":` and parse the number after it; false if absent. */
-bool
-numberAfterKey(const std::string& text, const char* key, double* out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char* start = text.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start)
-        return false;
-    *out = v;
-    return true;
 }
 
 }  // namespace
@@ -198,21 +169,28 @@ knobsJson(const AttackKnobs& k)
 }
 
 bool
-knobsFromJson(const std::string& text, AttackKnobs* out)
+knobsFromJson(const metrics::JsonValue& v, AttackKnobs* out)
 {
     AttackKnobs k;
-    double cell = 0.0;
-    if (!numberAfterKey(text, "freq_hz", &k.freqHz) ||
-        !numberAfterKey(text, "power_dbm", &k.powerDbm) ||
-        !numberAfterKey(text, "duty_period_s", &k.dutyPeriodS) ||
-        !numberAfterKey(text, "duty_on_frac", &k.dutyOnFrac) ||
-        !numberAfterKey(text, "phase_s", &k.phaseS) ||
-        !numberAfterKey(text, "envelope_step_dbm", &k.envelopeStepDbm) ||
-        !numberAfterKey(text, "grid_cell", &cell))
+    std::uint64_t cell = 0;
+    if (!v.at("freq_hz", &k.freqHz) ||
+        !v.at("power_dbm", &k.powerDbm) ||
+        !v.at("duty_period_s", &k.dutyPeriodS) ||
+        !v.at("duty_on_frac", &k.dutyOnFrac) ||
+        !v.at("phase_s", &k.phaseS) ||
+        !v.at("envelope_step_dbm", &k.envelopeStepDbm) ||
+        !v.at("grid_cell", &cell))
         return false;
     k.gridCell = static_cast<int>(cell);
     *out = k;
     return true;
+}
+
+bool
+knobsFromJson(const std::string& text, AttackKnobs* out)
+{
+    metrics::JsonValue v;
+    return metrics::parseJson(text, &v) && knobsFromJson(v, out);
 }
 
 }  // namespace gecko::adversary

@@ -7,6 +7,7 @@
 #include "campaign/engine.hpp"
 #include "exp/rng.hpp"
 #include "fault/spec.hpp"
+#include "metrics/json.hpp"
 
 /**
  * @file
@@ -102,6 +103,9 @@ std::string knobsJson(const AttackKnobs& k);
 
 /** Parse knobsJson() output (resume path).  False on malformed text. */
 bool knobsFromJson(const std::string& text, AttackKnobs* out);
+
+/** The same, from an already-parsed object (a journal record member). */
+bool knobsFromJson(const metrics::JsonValue& v, AttackKnobs* out);
 
 }  // namespace gecko::adversary
 

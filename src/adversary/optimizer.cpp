@@ -1,9 +1,6 @@
 #include "adversary/optimizer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,39 +8,11 @@
 
 #include "campaign/engine.hpp"
 #include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 namespace gecko::adversary {
 
 namespace {
-
-/** Round-trip-exact double text (spec.cpp idiom). */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
-bool
-numberAfterKey(const std::string& text, const char* key, double* out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char* start = text.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start)
-        return false;
-    *out = v;
-    return true;
-}
 
 /** Search-journal state reconstructed from completed-round lines. */
 struct SearchState {
@@ -138,12 +107,13 @@ std::map<std::string, campaign::GroupTotals>
 foldResults(const std::string& dir, std::uint64_t totalJobs)
 {
     campaign::Aggregator agg(totalJobs);
-    std::ifstream in(dir + "/results.jsonl");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (auto r = campaign::JobResult::fromJsonl(line))
+    const auto fold = [&](const metrics::JsonValue& v) {
+        auto r = campaign::JobResult::fromJson(v);
+        if (r)
             agg.add(*r);
-    }
+        return r.has_value();
+    };
+    metrics::readJsonl(dir + "/results.jsonl", fold);
     return agg.groups();
 }
 
@@ -197,26 +167,25 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
 
     // ---- recover journaled state (completed rounds only) ----
     SearchState st;
-    {
-        std::ifstream in(journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.find("\"type\":\"round\"") == std::string::npos)
-                continue;
-            double round = 0, score = 0, step = 0;
-            AttackKnobs knobs;
-            if (!numberAfterKey(line, "round", &round) ||
-                !numberAfterKey(line, "best_score", &score) ||
-                !numberAfterKey(line, "step", &step) ||
-                !knobsFromJson(line, &knobs))
-                continue;  // torn tail line: crash window, ignore
-            st.roundsDone = static_cast<int>(round) + 1;
-            st.best = knobs;
-            st.bestScore = static_cast<std::uint64_t>(score);
-            st.stepScale = step;
-            st.haveBest = true;
-        }
-    }
+    metrics::readJsonl(journalPath, [&](const metrics::JsonValue& v) {
+        std::string type;
+        if (!v.at("type", &type) || type != "round")
+            return true;
+        std::uint64_t round = 0, score = 0;
+        double step = 0;
+        AttackKnobs knobs;
+        const metrics::JsonValue* best = v.get("best_knobs");
+        if (!v.at("round", &round) || !v.at("best_score", &score) ||
+            !v.at("step", &step) || !best ||
+            !knobsFromJson(*best, &knobs))
+            return false;
+        st.roundsDone = static_cast<int>(round) + 1;
+        st.best = knobs;
+        st.bestScore = score;
+        st.stepScale = step;
+        st.haveBest = true;
+        return true;
+    });
 
     const int totalRounds = 1 + std::max(0, config.rounds);
     metrics::JsonlWriter journal(journalPath, /*append=*/true,
@@ -284,7 +253,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         std::ostringstream rl;
         rl << "{\"type\":\"round\",\"round\":" << round
            << ",\"best_score\":" << st.bestScore
-           << ",\"step\":" << numText(st.stepScale)
+           << ",\"step\":" << metrics::numText(st.stepScale)
            << ",\"clean_commits\":" << cleanIt->second.commits
            << ",\"clean_escalations\":" << cleanIt->second.escalations
            << ",\"best_knobs\":" << knobsJson(st.best) << "}";

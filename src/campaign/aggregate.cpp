@@ -15,9 +15,6 @@ struct Field {
     const char* key;
     std::uint64_t JobResult::* result;
     std::uint64_t GroupTotals::* total;
-    /// Added after the first deployment: absent in old results.jsonl
-    /// lines, which parse as 0 instead of reading as torn records.
-    bool optional = false;
 };
 
 constexpr Field kFields[] = {
@@ -44,7 +41,7 @@ constexpr Field kFields[] = {
     {"escalations", &JobResult::escalations, &GroupTotals::escalations},
     {"de_escalations", &JobResult::deEscalations,
      &GroupTotals::deEscalations},
-    {"commits", &JobResult::commits, &GroupTotals::commits, true},
+    {"commits", &JobResult::commits, &GroupTotals::commits},
 };
 
 }  // namespace
@@ -62,27 +59,22 @@ JobResult::toJsonl() const
 }
 
 std::optional<JobResult>
+JobResult::fromJson(const metrics::JsonValue& v)
+{
+    JobResult r;
+    if (!v.at("job", &r.job) || !v.at("group", &r.group))
+        return std::nullopt;
+    for (const Field& f : kFields)
+        if (!v.at(f.key, &(r.*f.result)))
+            return std::nullopt;
+    return r;
+}
+
+std::optional<JobResult>
 JobResult::fromJsonl(const std::string& line)
 {
-    auto job = metrics::jsonNumber(line, "job");
-    auto group = metrics::jsonString(line, "group");
-    if (!job || !group)
-        return std::nullopt;
-    JobResult r;
-    r.job = static_cast<std::uint64_t>(*job);
-    r.group = *group;
-    for (const Field& f : kFields) {
-        auto v = metrics::jsonNumber(line, f.key);
-        if (!v) {
-            if (f.optional) {
-                r.*f.result = 0;
-                continue;
-            }
-            return std::nullopt;  // torn mid-record
-        }
-        r.*f.result = static_cast<std::uint64_t>(*v);
-    }
-    return r;
+    metrics::JsonValue v;
+    return metrics::parseJson(line, &v) ? fromJson(v) : std::nullopt;
 }
 
 Aggregator::Aggregator(std::uint64_t totalJobs)
@@ -111,8 +103,8 @@ Aggregator::toJson(std::uint64_t totalJobs, std::uint64_t configHash,
                    std::uint64_t seed) const
 {
     std::ostringstream os;
-    // config/seed quoted: full-u64 values survive the double-based
-    // jsonNumber extractor (see manifest header rationale).
+    // config/seed quoted, like the manifest header, for wire
+    // stability.
     // v5: per-group `commits` (committed-region progress counter).
     os << "{\"schema_version\":" << 5
        << ",\"figure\":\"campaign\",\"jobs_total\":" << totalJobs

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "metrics/json.hpp"
+
 /**
  * @file
  * Streaming campaign result aggregation (DESIGN.md §13).
@@ -54,13 +56,15 @@ struct JobResult {
     // --- defense (defense::DefenseStats; 0 when disabled) ---
     std::uint64_t escalations = 0;
     std::uint64_t deEscalations = 0;
-    // --- forward progress (sim::Nvm): committed region boundaries.
-    // Optional on the wire (absent in pre-adversarial results.jsonl
-    // lines, which parse as 0) — the denial-of-progress objective's
-    // numerator.
+    // --- forward progress (sim::Nvm): committed region boundaries —
+    // the denial-of-progress objective's numerator.
     std::uint64_t commits = 0;
 
     std::string toJsonl() const;
+
+    /** Read a parsed results.jsonl record; nullopt if a field is
+     *  missing or mistyped. */
+    static std::optional<JobResult> fromJson(const metrics::JsonValue& v);
 
     /** Parse a results.jsonl line; nullopt if torn/foreign. */
     static std::optional<JobResult> fromJsonl(const std::string& line);

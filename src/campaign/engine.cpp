@@ -6,9 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -25,6 +23,7 @@
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "exp/rng.hpp"
+#include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/io_devices.hpp"
 #include "workloads/workloads.hpp"
@@ -67,8 +66,9 @@ fnv1a(std::uint64_t h, const std::string& s)
     return h;
 }
 
+/** Fixed 17-digit text; it feeds configHash(), so it never changes. */
 std::string
-numText(double x)
+hashText(double x)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", x);
@@ -92,7 +92,7 @@ CampaignSpace::configHash() const
         h = fnv1a(h, "d:" + d + ";");
     for (const auto& sc : scenarios) {
         h = fnv1a(h, std::string("a:") + scenarioName(sc.kind) + "," +
-                         numText(sc.freqHz) + "," + numText(sc.powerDbm) +
+                         hashText(sc.freqHz) + "," + hashText(sc.powerDbm) +
                          ";");
         // New axes hash only when engaged, so pre-spatial journals keep
         // their hashes and stay resumable.
@@ -103,24 +103,24 @@ CampaignSpace::configHash() const
                              std::to_string(sc.gridCol) + ";");
         if (sc.burstCount > 0)
             h = fnv1a(h, "b:" + std::to_string(sc.burstCount) + "," +
-                             numText(sc.burstOnS) + "," +
-                             numText(sc.burstGapS) + ";");
+                             hashText(sc.burstOnS) + "," +
+                             hashText(sc.burstGapS) + ";");
         if (!sc.name.empty())
             h = fnv1a(h, "n:" + sc.name + ";");
         if (sc.dutyPeriodS > 0)
-            h = fnv1a(h, "y:" + numText(sc.dutyPeriodS) + "," +
-                             numText(sc.dutyOnFrac) + ";");
+            h = fnv1a(h, "y:" + hashText(sc.dutyPeriodS) + "," +
+                             hashText(sc.dutyOnFrac) + ";");
         if (sc.phaseS > 0)
-            h = fnv1a(h, "p:" + numText(sc.phaseS) + ";");
+            h = fnv1a(h, "p:" + hashText(sc.phaseS) + ";");
         if (!sc.envelopeDbm.empty()) {
             std::string env = "e:";
             for (double dbm : sc.envelopeDbm)
-                env += numText(dbm) + ",";
+                env += hashText(dbm) + ",";
             h = fnv1a(h, env + ";");
         }
         if (sc.outagePeriodS > 0)
-            h = fnv1a(h, "o:" + numText(sc.outagePeriodS) + "," +
-                             numText(sc.outageOnFrac) + ";");
+            h = fnv1a(h, "o:" + hashText(sc.outagePeriodS) + "," +
+                             hashText(sc.outageOnFrac) + ";");
     }
     // The defense axis hashes only when engaged (anything beyond the
     // single historical "static" arm), like the scenario axes above.
@@ -129,8 +129,8 @@ CampaignSpace::configHash() const
             h = fnv1a(h, "f:" + d + ";");
     for (auto s : seeds)
         h = fnv1a(h, "r:" + std::to_string(s) + ";");
-    h = fnv1a(h, "t:" + numText(simSeconds) + ";");
-    h = fnv1a(h, "q:" + numText(sliceSimSeconds) + ";");
+    h = fnv1a(h, "t:" + hashText(simSeconds) + ";");
+    h = fnv1a(h, "q:" + hashText(sliceSimSeconds) + ";");
     return h;
 }
 
@@ -624,35 +624,16 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     Aggregator agg(total);
     std::uint64_t maxResultJob = 0;
     bool sawResult = false;
-    std::uint64_t tornResults = 0;
-    {
-        std::ifstream in(resultsPath, std::ios::binary);
-        if (in) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            const std::string text = all.str();
-            std::size_t pos = 0;
-            while (pos < text.size()) {
-                std::size_t nl = text.find('\n', pos);
-                if (nl == std::string::npos) {
-                    ++tornResults;  // crash-torn tail
-                    break;
-                }
-                std::string line = text.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                auto r = JobResult::fromJsonl(line);
-                if (!r) {
-                    ++tornResults;
-                    continue;
-                }
-                agg.add(*r);
-                maxResultJob = std::max(maxResultJob, r->job);
-                sawResult = true;
-            }
-        }
-    }
+    const std::uint64_t tornResults =
+        metrics::readJsonl(resultsPath, [&](const metrics::JsonValue& v) {
+            auto r = JobResult::fromJson(v);
+            if (!r)
+                return false;
+            agg.add(*r);
+            maxResultJob = std::max(maxResultJob, r->job);
+            sawResult = true;
+            return true;
+        });
 
     // Fresh-work frontier: nothing above it was ever touched.
     std::uint64_t frontier = 0;

@@ -1,9 +1,9 @@
 #include "campaign/manifest.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
+
+#include "metrics/json.hpp"
 
 namespace gecko::campaign {
 
@@ -43,8 +43,8 @@ ManifestWriter::header(std::uint64_t totalJobs, std::uint64_t configHash,
                        std::uint64_t seed)
 {
     std::ostringstream os;
-    // config/seed are full u64s; quoted so the double-based jsonNumber
-    // extractor's 2^53 precision limit can't corrupt the comparison.
+    // config/seed are full u64s, quoted; the quoting stays for wire
+    // stability with existing journals.
     os << "{\"manifest\":\"gecko-campaign\",\"version\":1,\"jobs\":"
        << totalJobs << ",\"config\":\"" << configHash << "\",\"seed\":\""
        << seed << "\"}";
@@ -61,18 +61,18 @@ ManifestWriter::append(const ManifestRecord& rec)
 
 namespace {
 
-JobState
-parseState(const std::string& name, bool* ok)
+bool
+parseState(const std::string& name, JobState* out)
 {
-    *ok = true;
     for (JobState s : {JobState::kPending, JobState::kRunning,
                        JobState::kDone, JobState::kFailed,
                        JobState::kQuarantined}) {
-        if (name == jobStateName(s))
-            return s;
+        if (name == jobStateName(s)) {
+            *out = s;
+            return true;
+        }
     }
-    *ok = false;
-    return JobState::kPending;
+    return false;
 }
 
 }  // namespace
@@ -81,65 +81,31 @@ ManifestRecovery
 readManifest(const std::string& path)
 {
     ManifestRecovery rec;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return rec;
-
-    // Read raw so a torn tail is detectable: only lines terminated by
-    // '\n' are candidates; a trailing fragment is crash damage.
-    std::ostringstream all;
-    all << in.rdbuf();
-    const std::string text = all.str();
-
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) {
-            // Unterminated tail: the record the crash interrupted.
-            ++rec.tornLines;
-            break;
-        }
-        const std::string line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty())
-            continue;
-
-        if (metrics::jsonString(line, "manifest").has_value()) {
-            auto jobs = metrics::jsonNumber(line, "jobs");
-            auto config = metrics::jsonString(line, "config");
-            auto seed = metrics::jsonString(line, "seed");
-            if (!jobs || !config || !seed) {
-                ++rec.tornLines;
-                continue;
-            }
+    rec.tornLines = metrics::readJsonl(path, [&](const metrics::JsonValue& v) {
+        if (v.get("manifest")) {
+            std::uint64_t jobs = 0, config = 0, seed = 0;
+            if (!v.at("jobs", &jobs) || !v.quotedU64At("config", &config) ||
+                !v.quotedU64At("seed", &seed))
+                return false;
             rec.hasHeader = true;
-            rec.totalJobs = static_cast<std::uint64_t>(*jobs);
-            rec.configHash =
-                std::strtoull(config->c_str(), nullptr, 10);
-            rec.seed = std::strtoull(seed->c_str(), nullptr, 10);
-            continue;
-        }
-
-        auto job = metrics::jsonNumber(line, "job");
-        auto state = metrics::jsonString(line, "state");
-        auto attempt = metrics::jsonNumber(line, "attempt");
-        auto slices = metrics::jsonNumber(line, "slices");
-        bool stateOk = false;
-        JobState parsed =
-            state ? parseState(*state, &stateOk) : JobState::kPending;
-        if (!job || !state || !attempt || !slices || !stateOk) {
-            ++rec.tornLines;
-            continue;
+            rec.totalJobs = jobs;
+            rec.configHash = config;
+            rec.seed = seed;
+            return true;
         }
         ManifestRecord r;
-        r.job = static_cast<std::uint64_t>(*job);
-        r.state = parsed;
-        r.attempt = static_cast<std::uint32_t>(*attempt);
-        r.slices = static_cast<std::uint64_t>(*slices);
+        std::string state;
+        std::uint64_t attempt = 0;
+        if (!v.at("job", &r.job) || !v.at("state", &state) ||
+            !parseState(state, &r.state) || !v.at("attempt", &attempt) ||
+            !v.at("slices", &r.slices))
+            return false;
+        r.attempt = static_cast<std::uint32_t>(attempt);
         rec.latest[r.job] = r;
         rec.maxJob = std::max(rec.maxJob, r.job);
         rec.sawAnyJob = true;
-    }
+        return true;
+    });
     return rec;
 }
 

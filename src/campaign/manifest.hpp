@@ -23,9 +23,10 @@
  *
  * The journal is the *only* recovery input: a SIGKILL'd campaign
  * restarts by replaying it.  Records are fsync'd at a bounded cadence
- * through metrics::JsonlWriter, and the reader tolerates exactly the
- * damage a crash can cause — a torn final line (no trailing '\n' or
- * unparseable) is dropped and counted, never fatal.  Jobs themselves
+ * through metrics::JsonlWriter, and the reader (metrics::readJsonl)
+ * tolerates exactly the damage a crash can cause — a torn final line
+ * (no trailing '\n' or unparseable) is dropped and counted, never
+ * fatal, and the next writer cuts it off before appending.  Jobs themselves
  * are never materialized here; the journal only names ids, so memory
  * stays bounded by *touched* jobs, not the job-space size.
  */

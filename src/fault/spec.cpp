@@ -1,229 +1,19 @@
 #include "fault/spec.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "exp/rng.hpp"
 #include "fault/injectors.hpp"
+#include "metrics/json.hpp"
 
 namespace gecko::fault {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal strict JSON reader.  Values keep the raw number text so
-// 64-bit seeds survive without a double round-trip.
-// ---------------------------------------------------------------------
-struct JsonValue {
-    enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = kNull;
-    bool b = false;
-    double num = 0.0;
-    std::string raw;  ///< number lexeme as written
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::vector<std::pair<std::string, JsonValue>> members;
-};
-
-class Parser
-{
-  public:
-    Parser(const std::string& text, std::string* error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool parse(JsonValue* out)
-    {
-        skipWs();
-        if (!value(out))
-            return false;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters after the top-level value");
-        return true;
-    }
-
-  private:
-    bool fail(const std::string& what)
-    {
-        if (error_->empty()) {
-            std::size_t line = 1, col = 1;
-            for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-                if (text_[i] == '\n') {
-                    ++line;
-                    col = 1;
-                } else {
-                    ++col;
-                }
-            }
-            std::ostringstream os;
-            os << "spec: " << what << " (line " << line << ", column "
-               << col << ")";
-            *error_ = os.str();
-        }
-        return false;
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool literal(const char* word, JsonValue* out, JsonValue::Type type,
-                 bool b)
-    {
-        std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return fail("invalid literal");
-        pos_ += n;
-        out->type = type;
-        out->b = b;
-        return true;
-    }
-
-    bool string(std::string* out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out->clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return fail("unterminated escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out->push_back('"'); break;
-                  case '\\': out->push_back('\\'); break;
-                  case '/': out->push_back('/'); break;
-                  case 'n': out->push_back('\n'); break;
-                  case 't': out->push_back('\t'); break;
-                  default:
-                    return fail("unsupported escape sequence");
-                }
-            } else {
-                out->push_back(c);
-            }
-        }
-        if (pos_ >= text_.size())
-            return fail("unterminated string");
-        ++pos_;  // closing quote
-        return true;
-    }
-
-    bool number(JsonValue* out)
-    {
-        std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        out->raw = text_.substr(start, pos_ - start);
-        char* end = nullptr;
-        out->num = std::strtod(out->raw.c_str(), &end);
-        if (end != out->raw.c_str() + out->raw.size() || out->raw.empty())
-            return fail("malformed number");
-        out->type = JsonValue::kNumber;
-        return true;
-    }
-
-    bool value(JsonValue* out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out->type = JsonValue::kObject;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string key;
-                if (!string(&key))
-                    return false;
-                for (const auto& m : out->members)
-                    if (m.first == key)
-                        return fail("duplicate key \"" + key + "\"");
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return fail("expected ':' after key \"" + key + "\"");
-                ++pos_;
-                JsonValue v;
-                if (!value(&v))
-                    return false;
-                out->members.emplace_back(key, std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or '}' in object");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out->type = JsonValue::kArray;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue v;
-                if (!value(&v))
-                    return false;
-                out->arr.push_back(std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or ']' in array");
-            }
-        }
-        if (c == '"') {
-            out->type = JsonValue::kString;
-            return string(&out->str);
-        }
-        if (c == 't')
-            return literal("true", out, JsonValue::kBool, true);
-        if (c == 'f')
-            return literal("false", out, JsonValue::kBool, false);
-        if (c == 'n')
-            return literal("null", out, JsonValue::kNull, false);
-        return number(out);
-    }
-
-    const std::string& text_;
-    std::string* error_;
-    std::size_t pos_ = 0;
-};
+using metrics::JsonValue;
+using metrics::numText;
 
 // ---------------------------------------------------------------------
 // Strict mapping: every object member must be consumed by name.
@@ -253,12 +43,7 @@ bool
 asU64(const JsonValue& v, const std::string& path, std::uint64_t* out,
       std::string* error)
 {
-    if (v.type != JsonValue::kNumber ||
-        v.raw.find_first_of(".eE-") != std::string::npos)
-        return failAt(error, path, "expected an unsigned integer");
-    char* end = nullptr;
-    *out = std::strtoull(v.raw.c_str(), &end, 10);
-    if (end != v.raw.c_str() + v.raw.size())
+    if (!v.as(out))
         return failAt(error, path, "expected an unsigned integer");
     return true;
 }
@@ -267,9 +52,8 @@ bool
 asDouble(const JsonValue& v, const std::string& path, double* out,
          std::string* error)
 {
-    if (v.type != JsonValue::kNumber)
+    if (!v.as(out))
         return failAt(error, path, "expected a number");
-    *out = v.num;
     return true;
 }
 
@@ -277,9 +61,8 @@ bool
 asString(const JsonValue& v, const std::string& path, std::string* out,
          std::string* error)
 {
-    if (v.type != JsonValue::kString)
+    if (!v.as(out))
         return failAt(error, path, "expected a string");
-    *out = v.str;
     return true;
 }
 
@@ -313,20 +96,6 @@ asDoubleList(const JsonValue& v, const std::string& path,
         out->push_back(e.num);
     }
     return true;
-}
-
-bool
-schemeFromName(const std::string& name, compiler::Scheme* out)
-{
-    for (compiler::Scheme s :
-         {compiler::Scheme::kNvp, compiler::Scheme::kRatchet,
-          compiler::Scheme::kGeckoNoPrune, compiler::Scheme::kGecko}) {
-        if (name == compiler::schemeName(s)) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
 }
 
 bool
@@ -387,51 +156,31 @@ mapBurst(const JsonValue& v, SpecScenario* sc, std::string* error)
     return true;
 }
 
+/** A `{period_s, on_frac}` section (duty cycle, harvester outage) at
+ *  `where`; on_frac lies in (0, 1], or (0, 1) unless `fracMayBeOne`. */
 bool
-mapDuty(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapPeriodic(const JsonValue& v, const std::string& where, double* period,
+            double* onFrac, bool fracMayBeOne, std::string* error)
 {
     if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.duty", "expected an object");
+        return failAt(error, where, "expected an object");
     for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.duty." + key;
+        std::string path = where + "." + key;
         if (key == "period_s") {
-            if (!asDouble(val, path, &sc->dutyPeriodS, error))
+            if (!asDouble(val, path, period, error))
                 return false;
         } else if (key == "on_frac") {
-            if (!asDouble(val, path, &sc->dutyOnFrac, error))
+            if (!asDouble(val, path, onFrac, error))
                 return false;
         } else {
             return failAt(error, path, "unknown field \"" + key + "\"");
         }
     }
-    if (sc->dutyPeriodS <= 0.0 || sc->dutyOnFrac <= 0.0 ||
-        sc->dutyOnFrac > 1.0)
-        return failAt(error, "$.scenario.duty",
-                      "period_s > 0 and on_frac in (0, 1] are required");
-    return true;
-}
-
-bool
-mapOutage(const JsonValue& v, SpecScenario* sc, std::string* error)
-{
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.outage", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.outage." + key;
-        if (key == "period_s") {
-            if (!asDouble(val, path, &sc->outagePeriodS, error))
-                return false;
-        } else if (key == "on_frac") {
-            if (!asDouble(val, path, &sc->outageOnFrac, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    if (sc->outagePeriodS <= 0.0 || sc->outageOnFrac <= 0.0 ||
-        sc->outageOnFrac >= 1.0)
-        return failAt(error, "$.scenario.outage",
-                      "period_s > 0 and on_frac in (0, 1) are required");
+    if (*period <= 0.0 || *onFrac <= 0.0 || *onFrac > 1.0 ||
+        (*onFrac == 1.0 && !fracMayBeOne))
+        return failAt(error, where,
+                      std::string("period_s > 0 and on_frac in (0, 1") +
+                          (fracMayBeOne ? "]" : ")") + " are required");
     return true;
 }
 
@@ -470,7 +219,8 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
                 return false;
         } else if (key == "duty") {
             v2Fields->push_back(path);
-            if (!mapDuty(val, &sc, error))
+            if (!mapPeriodic(val, path, &sc.dutyPeriodS, &sc.dutyOnFrac,
+                             true, error))
                 return false;
         } else if (key == "phase_s") {
             v2Fields->push_back(path);
@@ -484,7 +234,8 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
                 return false;
         } else if (key == "outage") {
             v2Fields->push_back(path);
-            if (!mapOutage(val, &sc, error))
+            if (!mapPeriodic(val, path, &sc.outagePeriodS,
+                             &sc.outageOnFrac, false, error))
                 return false;
         } else {
             return failAt(error, path, "unknown field \"" + key + "\"");
@@ -530,7 +281,7 @@ mapCampaign(const JsonValue& v, FaultSpec* spec, std::string* error)
             spec->schemes.clear();
             for (const std::string& n : names) {
                 compiler::Scheme s;
-                if (!schemeFromName(n, &s))
+                if (!compiler::schemeFromName(n, &s))
                     return failAt(error, path,
                                   "unknown scheme \"" + n + "\"");
                 spec->schemes.push_back(s);
@@ -598,19 +349,6 @@ mapEngine(const JsonValue& v, FaultSpec* spec, std::string* error)
 // Canonical serialization.
 // ---------------------------------------------------------------------
 
-/** Shortest decimal that round-trips through strtod. */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
 void
 emitStringList(std::ostringstream& os, const std::vector<std::string>& v)
 {
@@ -628,10 +366,9 @@ parseSpec(const std::string& text, FaultSpec* out, std::string* error)
     std::string err;
     *out = FaultSpec{};
     JsonValue root;
-    Parser parser(text, &err);
-    if (!parser.parse(&root)) {
+    if (!metrics::parseJson(text, &root, &err)) {
         if (error)
-            *error = err;
+            *error = "spec: " + err;
         return false;
     }
     auto failTop = [&](const std::string& what) {

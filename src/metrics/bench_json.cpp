@@ -22,6 +22,23 @@ num(double x)
     return buf;
 }
 
+/** Cut a torn tail: truncate `fd` to just after its last '\n' (to
+ *  empty when it has none). */
+bool
+cutTornTail(int fd)
+{
+    const off_t end = ::lseek(fd, 0, SEEK_END);
+    off_t keep = end;
+    char c = 0;
+    for (; keep > 0; --keep) {
+        if (::pread(fd, &c, 1, keep - 1) != 1)
+            return false;
+        if (c == '\n')
+            break;
+    }
+    return end >= 0 && (keep == end || ::ftruncate(fd, keep) == 0);
+}
+
 }  // namespace
 
 std::string
@@ -92,41 +109,14 @@ BenchReport::toJson() const
     return os.str();
 }
 
-std::optional<double>
-jsonNumber(const std::string& text, const std::string& key)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    const char* start = text.c_str() + pos + needle.size();
-    char* end = nullptr;
-    double v = std::strtod(start, &end);
-    if (end == start)
-        return std::nullopt;
-    return v;
-}
-
-std::optional<std::string>
-jsonString(const std::string& text, const std::string& key)
-{
-    std::string needle = "\"" + key + "\":\"";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return std::nullopt;
-    std::size_t start = pos + needle.size();
-    std::size_t end = text.find('"', start);
-    if (end == std::string::npos)
-        return std::nullopt;
-    return text.substr(start, end - start);
-}
-
 JsonlWriter::JsonlWriter(const std::string& path, bool append,
                          std::size_t syncEvery)
     : syncEvery_(syncEvery)
 {
-    int flags = O_WRONLY | O_CREAT | (append ? O_APPEND : O_TRUNC);
+    int flags = O_RDWR | O_CREAT | (append ? O_APPEND : O_TRUNC);
     fd_ = ::open(path.c_str(), flags, 0644);
+    if (fd_ >= 0 && append && !cutTornTail(fd_))
+        failed_ = true;
 }
 
 JsonlWriter::~JsonlWriter()

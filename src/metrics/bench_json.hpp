@@ -2,7 +2,6 @@
 #define GECKO_METRICS_BENCH_JSON_HPP_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,8 +16,8 @@
  * aggregates the per-figure objects into `BENCH_sweeps.json` and
  * compares against a recorded serial baseline.
  *
- * The format is intentionally small and flat; the readers below only
- * promise to parse JSON *this writer produced* (no general parser).
+ * The format is intentionally small and flat; it is read back through
+ * the strict parser of metrics/json.hpp.
  */
 
 namespace gecko::metrics {
@@ -65,9 +64,8 @@ struct SweepRecord {
  *  - 8: added `sleep_quanta` next to `quanta`: monitor-sample quanta
  *    stepped while sleeping, which `quanta` (running quanta) omits —
  *    about half of all stepped quanta under a continuous tone.
- * Readers must tolerate unknown keys so newer records keep
- * aggregating under older readers (the find-based extractors below
- * do this by construction).
+ * Readers look keys up by name and ignore the ones they do not know,
+ * so newer records keep aggregating under older readers.
  */
 inline constexpr int kBenchSchemaVersion = 8;
 
@@ -128,17 +126,6 @@ struct BenchReport {
 std::string jsonEscape(const std::string& s);
 
 /**
- * Extract the first number following `"key":` in `text`.
- * Only valid for JSON produced by this module.
- */
-std::optional<double> jsonNumber(const std::string& text,
-                                 const std::string& key);
-
-/** Extract the first string following `"key":` (no escape handling). */
-std::optional<std::string> jsonString(const std::string& text,
-                                      const std::string& key);
-
-/**
  * Durable append-only JSONL writer (campaign manifests / result
  * streams).
  *
@@ -149,7 +136,11 @@ std::optional<std::string> jsonString(const std::string& text,
  *    record — only a crash mid-write can truncate the file tail, which
  *    readers must (and do) tolerate;
  *  - fsync runs every `syncEvery` records and on demand via sync(), so
- *    the window of journal loss after a SIGKILL is bounded.
+ *    the window of journal loss after a SIGKILL is bounded;
+ *  - opening in append mode cuts an unterminated tail (the fragment a
+ *    crash left) back to the last '\n', so the next record never glues
+ *    onto it.  Recovery reads the journal before the writer opens it,
+ *    so the fragment is still counted as torn.
  *
  * Not thread-safe; callers serialize (the campaign engine holds a
  * journal mutex).
@@ -159,7 +150,8 @@ class JsonlWriter
   public:
     /**
      * @param path      output file (created if missing)
-     * @param append    append to an existing file vs truncate
+     * @param append    append to an existing file (cutting a torn
+     *                  tail) vs truncate
      * @param syncEvery fsync cadence in records (0 = only explicit
      *                  sync())
      */

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -94,6 +95,10 @@ TEST(AdversaryKnobs, JsonRoundTripsEveryField)
 
     adversary::AttackKnobs junk;
     EXPECT_FALSE(adversary::knobsFromJson("{\"freq_hz\":}", &junk));
+    // Every field present but the object unclosed: a torn record.
+    const std::string unclosed = adversary::knobsJson(k);
+    EXPECT_FALSE(adversary::knobsFromJson(
+        unclosed.substr(0, unclosed.size() - 1), &junk));
 }
 
 TEST(AdversaryKnobs, PerturbStaysInBoundsOnEveryCoordinate)
@@ -182,6 +187,20 @@ TEST(AdversarySearch, RerunOnJournaledDirPinsTheSameWinner)
         << "the undefended config must be attackable";
     const std::string spec1 = slurp(dir.str() + "/best_spec.json");
 
+    // Crash damage: the final round record again, cut after the first
+    // digit of its last number (grid_cell) with no newline.  A torn
+    // record must never be adopted as a completed round.
+    const std::string journal = slurp(dir.str() + "/search.jsonl");
+    const std::size_t start = journal.rfind("{\"type\":\"round\"");
+    ASSERT_NE(start, std::string::npos);
+    const std::size_t cell = journal.find("\"grid_cell\":", start) +
+                             std::strlen("\"grid_cell\":");
+    {
+        std::ofstream out(dir.str() + "/search.jsonl",
+                          std::ios::app | std::ios::binary);
+        out << journal.substr(start, cell + 1 - start);
+    }
+
     // A second run over the same durable dir is a pure replay: every
     // round is journaled, the standalone best evaluation is already a
     // completed campaign, and the emitted spec must not change.
@@ -191,6 +210,9 @@ TEST(AdversarySearch, RerunOnJournaledDirPinsTheSameWinner)
     EXPECT_TRUE(second.replayMatches);
     EXPECT_EQ(second.best.score, first.best.score);
     EXPECT_EQ(slurp(dir.str() + "/best_spec.json"), spec1);
+    // The replay appends nothing, and reopening the journal cut the
+    // torn tail.
+    EXPECT_EQ(slurp(dir.str() + "/search.jsonl"), journal);
 }
 
 TEST(AdversarySearch, CleanBaselineNeverEscalatesStrictPreset)

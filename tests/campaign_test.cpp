@@ -29,6 +29,7 @@
 #include "fault/injectors.hpp"
 #include "fault/spec.hpp"
 #include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
@@ -576,16 +577,17 @@ TEST(JsonlWriterTest, EveryRecordLandsTerminated)
                      std::istreambuf_iterator<char>());
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text.back(), '\n');
-    int lines = 0;
-    std::istringstream ss(text);
-    std::string line;
-    while (std::getline(ss, line)) {
-        auto i = metrics::jsonNumber(line, "i");
-        ASSERT_TRUE(i.has_value()) << "torn record: " << line;
-        EXPECT_EQ(static_cast<int>(*i), lines);
-        ++lines;
-    }
-    EXPECT_EQ(lines, 100);
+    std::uint64_t lines = 0;
+    const std::uint64_t torn =
+        metrics::readJsonl(path, [&](const metrics::JsonValue& v) {
+            std::uint64_t i = 0;
+            EXPECT_TRUE(v.at("i", &i));
+            EXPECT_EQ(i, lines);
+            ++lines;
+            return true;
+        });
+    EXPECT_EQ(torn, 0u);
+    EXPECT_EQ(lines, 100u);
 }
 
 TEST(JsonlWriterTest, AppendModeExtendsExistingJournal)
@@ -606,6 +608,35 @@ TEST(JsonlWriterTest, AppendModeExtendsExistingJournal)
     ASSERT_TRUE(std::getline(in, l2));
     EXPECT_EQ(l1, "{\"i\":0}");
     EXPECT_EQ(l2, "{\"i\":1}");
+}
+
+TEST(JsonlWriterTest, AppendModeCutsTornTail)
+{
+    // A crash fragment must not glue onto the next record: opening in
+    // append mode cuts the file back to its last '\n'.
+    TempDir dir("jsonl3");
+    const std::string path = dir.str() + "/out.jsonl";
+    const std::pair<std::string, std::string> cases[] = {
+        {"{\"i\":0}\n{\"i\":", "{\"i\":0}\n"},  // torn second record
+        {"{\"i\":", ""},                         // torn first record
+    };
+    for (const auto& [damage, kept] : cases) {
+        {
+            std::ofstream out(path, std::ios::trunc | std::ios::binary);
+            out << damage;
+        }
+        EXPECT_EQ(metrics::readJsonl(path, [](const auto&) { return true; }),
+                  1u);
+        {
+            metrics::JsonlWriter w(path, true, 0);
+            ASSERT_TRUE(w.ok());
+            w.append("{\"i\":1}");
+        }
+        std::ifstream in(path, std::ios::binary);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        EXPECT_EQ(text, kept + "{\"i\":1}\n");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -824,24 +855,27 @@ TEST(EngineTest, RefusesForeignManifest)
                  std::runtime_error);
 }
 
+/** Run 3 jobs, then leave SIGKILL-style unterminated tails on both
+ *  journals. */
+void
+runThreeAndTearJournals(const std::string& dir, exp::ThreadPool& pool)
+{
+    auto config = engineConfig(dir);
+    config.maxJobsThisRun = 3;
+    campaign::runCampaign(config, pool);
+    std::ofstream m(dir + "/manifest.jsonl",
+                    std::ios::app | std::ios::binary);
+    m << "{\"job\":3,\"state\":\"runn";
+    std::ofstream r(dir + "/results.jsonl",
+                    std::ios::app | std::ios::binary);
+    r << "{\"job\":3,\"group\":\"sensor";
+}
+
 TEST(EngineTest, TornJournalTailsAreAbsorbedOnResume)
 {
     TempDir dir("tornres");
     exp::ThreadPool pool(1);
-    auto config = engineConfig(dir.str());
-    config.maxJobsThisRun = 3;
-    campaign::runCampaign(config, pool);
-
-    // Simulate a SIGKILL mid-write: unterminated tails on both
-    // journals.
-    {
-        std::ofstream m(dir.str() + "/manifest.jsonl",
-                        std::ios::app | std::ios::binary);
-        m << "{\"job\":3,\"state\":\"runn";
-        std::ofstream r(dir.str() + "/results.jsonl",
-                        std::ios::app | std::ios::binary);
-        r << "{\"job\":3,\"group\":\"sensor";
-    }
+    runThreeAndTearJournals(dir.str(), pool);
     TempDir ref("tornref");
     auto expected =
         campaign::runCampaign(engineConfig(ref.str()), pool);
@@ -849,6 +883,31 @@ TEST(EngineTest, TornJournalTailsAreAbsorbedOnResume)
     EXPECT_TRUE(resumed.complete);
     EXPECT_EQ(resumed.tornManifestLines, 1u);
     EXPECT_EQ(resumed.tornResultLines, 1u);
+    EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
+}
+
+TEST(EngineTest, TornTailsNeverGlueOntoResumedRecords)
+{
+    // A capped resume appends records after the torn tails.  Were they
+    // glued onto the fragments, the next resume would adopt a spliced
+    // line as job 3 of a group "sensor{".
+    TempDir dir("glued");
+    exp::ThreadPool pool(1);
+    runThreeAndTearJournals(dir.str(), pool);
+    auto capped = engineConfig(dir.str());
+    capped.maxJobsThisRun = 2;
+    auto partial = campaign::runCampaign(capped, pool);
+    EXPECT_FALSE(partial.complete);
+    EXPECT_EQ(partial.tornManifestLines, 1u);
+    EXPECT_EQ(partial.tornResultLines, 1u);
+
+    TempDir ref("gluedref");
+    auto expected =
+        campaign::runCampaign(engineConfig(ref.str()), pool);
+    auto resumed = campaign::runCampaign(engineConfig(dir.str()), pool);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.tornManifestLines, 0u);
+    EXPECT_EQ(resumed.tornResultLines, 0u);
     EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
 }
 
