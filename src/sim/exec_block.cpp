@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -98,6 +101,25 @@ isTerminatorKind(UopKind kind)
     return kind >= UopKind::kBeq;
 }
 
+/**
+ * Passes through a self-counted `add rC,rC,#1 ; blt rC,rB,start` latch
+ * until it falls through, from counter `cnt` and bound `bnd`.  The body
+ * is a do-while, so at least one.  The add wraps like the ISA's: a
+ * counter at INT32_MAX steps to INT32_MIN, which is still below any
+ * bound but INT32_MIN, so the loop runs on for up to 2^32 passes.
+ */
+std::uint64_t
+countedExitTrips(std::uint32_t cnt, std::uint32_t bnd)
+{
+    const std::int64_t c = static_cast<std::int32_t>(cnt);
+    const std::int64_t b = static_cast<std::int32_t>(bnd);
+    if (c < b)
+        return static_cast<std::uint64_t>(b - c);
+    if (c < INT32_MAX || b == INT32_MIN)
+        return 1;
+    return 1 + static_cast<std::uint64_t>(b - INT32_MIN);
+}
+
 }  // namespace
 
 void
@@ -139,6 +161,14 @@ Machine::invalidateBlockCache()
     }
     uopPool_.clear();
     uopPool_.shrink_to_fit();
+}
+
+std::size_t
+Machine::compiledUopCount(UopKind kind) const
+{
+    return static_cast<std::size_t>(
+        std::count_if(uopPool_.begin(), uopPool_.end(),
+                      [kind](const Uop& u) { return u.kind == kind; }));
 }
 
 void
@@ -535,7 +565,31 @@ Machine::compileBlock(SuperBlock& b)
             uops.assign(1, f);
         }
     }
-    if (std::getenv("GECKO_DUMP_BLOCKS")) {
+    if (b.len == 5) {
+        const Decoded* d = code + b.start;
+        if (d[0].op == Opcode::kAnd && d[0].useImm && d[0].imm == 1 &&
+            d[1].op == Opcode::kAdd && !d[1].useImm &&
+            d[1].rs1 == d[1].rd && d[1].rs2 == d[0].rd &&
+            d[2].op == Opcode::kShr && d[2].useImm &&
+            (d[2].imm & 31u) == 1 && d[2].rd == d[0].rs1 &&
+            d[2].rs1 == d[0].rs1 && d[3].op == Opcode::kAdd &&
+            d[3].useImm && d[3].imm == 1 && d[3].rs1 == d[3].rd &&
+            d[4].op == Opcode::kBlt && d[4].rs1 == d[3].rd &&
+            d[4].target == b.start &&
+            distinct({d[0].rd, d[0].rs1, d[1].rd, d[3].rd, d[4].rs2})) {
+            Uop f;
+            f.kind = UopKind::kPopcntLoop;
+            f.rd = d[1].rd;    // accumulator
+            f.rs1 = d[0].rs1;  // shift register
+            f.rs2 = d[0].rd;   // bit register
+            f.rd2 = d[3].rd;   // loop counter
+            f.rx = d[4].rs2;   // loop bound (read-only)
+            f.costPrefix = b.cost;
+            uops.assign(1, f);
+        }
+    }
+    static const bool dumpBlocks = std::getenv("GECKO_DUMP_BLOCKS");
+    if (dumpBlocks) {
         std::fprintf(stderr, "block@%u len=%u cost=%u uops=%zu:", b.start,
                      b.len, b.cost, uops.size());
         for (const Uop& du : uops)
@@ -776,7 +830,7 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         &&u_subi_bltu, &&u_subi_bgeu,
         &&u_addrr_addi_blt, &&u_shrri_addi_blt,
         &&u_movi_fall, &&u_addri_jmp,
-        &&u_lcg_loop, &&u_crc_loop, &&u_fir_loop,
+        &&u_lcg_loop, &&u_crc_loop, &&u_fir_loop, &&u_popcnt_loop,
         // clang-format on
     };
     static_assert(sizeof(kKindTable) / sizeof(kKindTable[0]) ==
@@ -1261,12 +1315,9 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         // registers, cycles and instruction counts exactly as k threaded
         // passes would.
         const std::uint64_t kmax = (cycleBudget - cycles) / b->cost;
-        const std::int64_t cnt0 =
-            static_cast<std::int32_t>(regs[u->rd2]);
-        const std::int64_t bnd = static_cast<std::int32_t>(regs[u->rx]);
-        const std::uint64_t kexit =
-            bnd > cnt0 ? static_cast<std::uint64_t>(bnd - cnt0) : 1;
-        const std::uint64_t k = kmax < kexit ? kmax : kexit;
+        const std::uint32_t cnt0 = regs[u->rd2];
+        const std::uint64_t kexit = countedExitTrips(cnt0, regs[u->rx]);
+        const std::uint64_t k = std::min(kmax, kexit);
         std::uint32_t s = regs[u->rd];
         std::uint32_t t = regs[u->rs1];
         std::uint32_t acc = regs[u->rs2];
@@ -1282,8 +1333,7 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         regs[u->rd] = s;
         regs[u->rs1] = t;
         regs[u->rs2] = acc;
-        regs[u->rd2] = static_cast<std::uint32_t>(
-            cnt0 + static_cast<std::int64_t>(k));
+        regs[u->rd2] = cnt0 + static_cast<std::uint32_t>(k);
         cycles += k * b->cost;
         instrs += k * b->len;
         pc = k == kexit ? b->start + b->len : b->start;
@@ -1298,12 +1348,9 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         // faulting one through the per-instruction fallback — the
         // fault fires at the exact instruction with exact state.
         const std::uint64_t kmax = (cycleBudget - cycles) / b->cost;
-        const std::int64_t cnt0 =
-            static_cast<std::int32_t>(regs[u->rd2]);
-        const std::int64_t bnd = static_cast<std::int32_t>(regs[u->rx]);
         const std::uint64_t kexit =
-            bnd > cnt0 ? static_cast<std::uint64_t>(bnd - cnt0) : 1;
-        const std::uint64_t kIter = kmax < kexit ? kmax : kexit;
+            countedExitTrips(regs[u->rd2], regs[u->rx]);
+        const std::uint64_t kIter = std::min(kmax, kexit);
         const std::uint8_t rA = u->imm2 & 0xffu;
         const std::uint8_t rX = (u->imm2 >> 8) & 0xffu;
         const std::uint8_t rY = (u->imm2 >> 16) & 0xffu;
@@ -1352,6 +1399,28 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
             goto deopt;
         }
         pc = j == kexit ? b->start + b->len : b->start;
+        goto chain;
+      }
+
+      u_popcnt_loop: {
+        // Native bit-count loop (see compileBlock's matcher) in closed
+        // form.  k is bounded as in u_lcg_loop (k >= 1: the block-entry
+        // guard reserved one iteration); k passes shift k bits out of
+        // rS, so the handler is O(1) however far a corrupted counter or
+        // bound puts the loop's exit.
+        const std::uint64_t kmax = (cycleBudget - cycles) / b->cost;
+        const std::uint64_t kexit =
+            countedExitTrips(regs[u->rd2], regs[u->rx]);
+        const std::uint64_t k = std::min(kmax, kexit);
+        const std::uint32_t s = regs[u->rs1];
+        const std::uint32_t low = k >= 32 ? s : s & ((1u << k) - 1u);
+        regs[u->rd] += static_cast<std::uint32_t>(std::popcount(low));
+        regs[u->rs2] = k > 32 ? 0u : (s >> (k - 1)) & 1u;
+        regs[u->rs1] = k >= 32 ? 0u : s >> k;
+        regs[u->rd2] += static_cast<std::uint32_t>(k);
+        cycles += k * b->cost;
+        instrs += k * b->len;
+        pc = k == kexit ? b->start + b->len : b->start;
         goto chain;
       }
 

@@ -80,8 +80,11 @@ Machine::Machine(const compiler::CompiledProgram& prog, Nvm& nvm, IoHub& io)
         }
         d.cost = static_cast<std::uint16_t>(cost);
     }
-    const char* bt = std::getenv("GECKO_TRACE_BLOCKS");
-    blockTrace_ = bt != nullptr && *bt != '\0' && std::strcmp(bt, "0") != 0;
+    static const bool traceBlocks = [] {
+        const char* bt = std::getenv("GECKO_TRACE_BLOCKS");
+        return bt != nullptr && *bt != '\0' && std::strcmp(bt, "0") != 0;
+    }();
+    blockTrace_ = traceBlocks;
 }
 
 void

@@ -135,6 +135,13 @@ class Machine
     void invalidateBlockCache();
 
     /**
+     * Micro-ops of `kind` in the compiled block cache: lets tests assert
+     * that a superinstruction forms on a workload, which the tiers'
+     * architectural equivalence otherwise hides.
+     */
+    std::size_t compiledUopCount(UopKind kind) const;
+
+    /**
      * Execute until ~`cycleBudget` cycles are consumed (may overshoot by
      * one instruction).  A faulted machine spins, consuming the budget
      * without progress.

@@ -45,9 +45,14 @@ inline constexpr int kIoPorts = 4;
 
 namespace detail {
 
-/** Table for the reflected CRC-32 polynomial 0xEDB88320. */
+/**
+ * Slicing-by-4 tables for the reflected CRC-32 polynomial 0xEDB88320:
+ * entries[0] is the classic byte table, and entries[k][i] is the CRC of
+ * byte i followed by k zero bytes, so one 32-bit word folds in with four
+ * independent lookups instead of four dependent byte steps.
+ */
 struct Crc32Table {
-    std::uint32_t entries[256];
+    std::uint32_t entries[4][256];
 
     constexpr Crc32Table() : entries{}
     {
@@ -55,8 +60,13 @@ struct Crc32Table {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            entries[i] = c;
+            entries[0][i] = c;
         }
+        for (int t = 1; t < 4; ++t)
+            for (std::uint32_t i = 0; i < 256; ++i) {
+                const std::uint32_t prev = entries[t - 1][i];
+                entries[t][i] = (prev >> 8) ^ entries[0][prev & 0xffu];
+            }
     }
 };
 
@@ -65,22 +75,21 @@ inline constexpr Crc32Table kCrcTable;
 }  // namespace detail
 
 /**
- * CRC-32 (reflected 0xEDB88320 polynomial) over a span of words, with
- * zero init and no final xor so that all-zero data yields 0 — a virgin
- * (zeroed) NVM image therefore validates against its zeroed CRC word.
- * Inline: every compiler-checkpoint slot store (a hot micro-op in the
- * region-dense workloads) computes a guarded-pair check word.
+ * CRC-32 (reflected 0xEDB88320 polynomial) over a span of words, each
+ * word fed low byte first, with zero init and no final xor so that
+ * all-zero data yields 0 — a virgin (zeroed) NVM image therefore
+ * validates against its zeroed CRC word.  Inline: every
+ * compiler-checkpoint slot store (a hot micro-op in the region-dense
+ * workloads) computes a guarded-pair check word.
  */
 inline std::uint32_t
 crc32Words(const std::uint32_t* words, std::size_t n, std::uint32_t crc = 0)
 {
+    const auto& t = detail::kCrcTable.entries;
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t w = words[i];
-        for (int b = 0; b < 4; ++b) {
-            crc = detail::kCrcTable.entries[(crc ^ (w & 0xffu)) & 0xffu] ^
-                  (crc >> 8);
-            w >>= 8;
-        }
+        crc ^= words[i];
+        crc = t[3][crc & 0xffu] ^ t[2][(crc >> 8) & 0xffu] ^
+              t[1][(crc >> 16) & 0xffu] ^ t[0][crc >> 24];
     }
     return crc;
 }

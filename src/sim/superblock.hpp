@@ -189,6 +189,17 @@ enum class UopKind : std::uint8_t {
      * mask<<24 (mask must fit 8 bits).
      */
     kFirMacLoop,
+    /**
+     * kPopcntLoop: the bit-count self-loop `and rT,rS,#1 ; add rA,rA,rT ;
+     * shr rS,rS,#1 ; add rC,rC,#1 ; blt rC,rB,start`.  Pure ALU with a
+     * counted exit, and k iterations have a closed form: rA gains the
+     * popcount of rS's low min(k,32) bits, rT is bit k-1 of rS (0 once
+     * k > 32), rS shifts right by k (0 once k >= 32) and rC advances by
+     * k — so the handler costs O(1) however many iterations the budget
+     * allows.  Fields: rd = rA, rs1 = rS, rs2 = rT, rd2 = rC, rx = rB
+     * (read-only).
+     */
+    kPopcntLoop,
     kNumUopKinds_,
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <vector>
 
 #include "compiler/pipeline.hpp"
 #include "exp/rng.hpp"
@@ -47,6 +48,40 @@ TEST(CrcTest, AllZeroDataValidatesAgainstZeroCrc)
 {
     std::uint32_t zeros[8] = {};
     EXPECT_EQ(sim::crc32Words(zeros, 8), 0u);
+    EXPECT_EQ(sim::crc32Word(0), 0u);
+}
+
+/** Bit-at-a-time CRC-32 over each word's bytes, low byte first. */
+std::uint32_t
+referenceCrc32(const std::vector<std::uint32_t>& words, std::uint32_t crc)
+{
+    for (std::uint32_t w : words) {
+        for (int byte = 0; byte < 4; ++byte) {
+            crc ^= (w >> (8 * byte)) & 0xffu;
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        }
+    }
+    return crc;
+}
+
+TEST(CrcTest, WordTableWalkMatchesByteSerialReference)
+{
+    // The word-at-a-time table walk must give the byte-serial CRC bit
+    // for bit: every stored JIT image and guarded slot depends on it.
+    exp::Rng rng(0xc3c32024u);
+    for (std::size_t n = 0; n <= 30; ++n) {
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<std::uint32_t> words(n);
+            for (std::uint32_t& w : words)
+                w = static_cast<std::uint32_t>(rng.next());
+            const std::uint32_t seed =
+                trial == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+            EXPECT_EQ(sim::crc32Words(words.data(), n, seed),
+                      referenceCrc32(words, seed))
+                << "n " << n << " seed " << seed;
+        }
+    }
 }
 
 TEST(GuardedSlotTest, RepairsPrimaryCorruptionFromShadow)

@@ -324,6 +324,157 @@ TEST(MachineTest, BlockContinuousModeMatchesStep)
               step_rig.io.output(0).values());
 }
 
+/** One adversarial start state for a counted-loop differential. */
+struct LoopStart {
+    std::uint32_t shift = 0;    ///< value being consumed (rS / LCG state)
+    std::uint32_t counter = 0;  ///< rC
+    std::uint32_t bound = 0;    ///< rB
+    std::uint64_t budget = 0;   ///< cycles per run() slice
+};
+
+/**
+ * Runs `src` (a loop at pc 1 over r5 = shifted value, r8 = counter and
+ * r9 = bound, followed by a halt) on the step and block tiers from
+ * `start`, checking exits, consumed cycles, pc, ExecStats and registers
+ * after every slice.  A warm-up pass (counter 0, bound 8) first makes
+ * the loop block hot, so the adversarial state runs through the
+ * compiled `expect` micro-op, which the test asserts formed.  Runs stop
+ * at halt or after `cap` cycles: a corrupted bound can leave billions of
+ * iterations, which only the block tier's closed form can afford.
+ */
+void
+expectLoopDifferential(const char* src, UopKind expect,
+                       const LoopStart& start, std::uint64_t cap)
+{
+    CompiledProgram c = wrap(ir::Assembler::assemble("loop", src));
+    Rig step_rig, block_rig;
+    Machine ref(c, step_rig.nvm, step_rig.io);
+    Machine block(c, block_rig.nvm, block_rig.io);
+    ref.setExecBackend(ExecBackend::kStep);
+    block.setExecBackend(ExecBackend::kBlock);
+    for (Machine* m : {&ref, &block}) {
+        m->regs()[9] = 8;
+        ASSERT_EQ(m->run(1u << 20, nullptr), RunExit::kHalted);
+        m->clearHalt();
+        m->setPc(1);
+        m->regs()[5] = start.shift;
+        m->regs()[8] = start.counter;
+        m->regs()[9] = start.bound;
+    }
+    ASSERT_EQ(block.compiledUopCount(expect), 1u);
+    ASSERT_TRUE(block.stats == ref.stats);
+    const std::uint64_t base = ref.stats.cycles;
+    while (!ref.halted() && ref.stats.cycles - base < cap) {
+        std::uint64_t refConsumed = 0, blockConsumed = 0;
+        const RunExit refExit = ref.run(start.budget, &refConsumed);
+        const RunExit blockExit = block.run(start.budget, &blockConsumed);
+        ASSERT_EQ(blockExit, refExit);
+        ASSERT_EQ(blockConsumed, refConsumed);
+        ASSERT_EQ(block.pc(), ref.pc());
+        ASSERT_TRUE(block.stats == ref.stats);
+        ASSERT_EQ(block.regs(), ref.regs());
+    }
+    EXPECT_EQ(block.halted(), ref.halted());
+}
+
+/** Start states that attack a self-counted `add #1 ; blt` latch. */
+std::vector<LoopStart>
+adversarialLoopStarts()
+{
+    constexpr std::uint32_t kMax = 0x7fffffffu;  // INT32_MAX
+    constexpr std::uint32_t kMin = 0x80000000u;  // INT32_MIN
+    std::vector<LoopStart> starts;
+    for (std::uint32_t shift : {0x9e3779b9u, 0x80000001u, 0xffffffffu, 0u}) {
+        for (std::uint64_t budget : {7u, 13u, 37u, 193u, 100003u}) {
+            // Counter at or past the bound: a single do-while pass.
+            starts.push_back({shift, 50, 10, budget});
+            starts.push_back({shift, 10, 10, budget});
+            // Bound 2^31 away: budget-bounded, and k >= 32 drains rS.
+            starts.push_back({shift, kMin, 0, budget});
+            starts.push_back({shift, 0xfffffffbu, kMax, budget});
+            // Counter next to INT32_MAX: wraps to INT32_MIN and runs on
+            // unless the bound is INT32_MIN.
+            starts.push_back({shift, kMax, 10, budget});
+            starts.push_back({shift, kMax, kMax, budget});
+            starts.push_back({shift, kMax, kMin, budget});
+            starts.push_back({shift, kMax - 1, kMax, budget});
+            starts.push_back({shift, kMax - 40, kMax, budget});
+            // Ordinary short counts around the 32-bit shift edge.
+            starts.push_back({shift, 0, 31, budget});
+            starts.push_back({shift, 0, 32, budget});
+            starts.push_back({shift, 0, 33, budget});
+        }
+    }
+    return starts;
+}
+
+TEST(MachineTest, PopcntLoopMatchesStepFromAdversarialStates)
+{
+    // bitcnt's inner loop shape (r7 = bit, r6 = count); r7 and r6 start
+    // nonzero after the warm-up pass.
+    const char* src = R"(
+        movi r5, 12345
+loop:
+        and  r7, r5, #1
+        add  r6, r6, r7
+        shr  r5, r5, #1
+        add  r8, r8, #1
+        blt  r8, r9, loop
+        halt
+)";
+    for (const LoopStart& start : adversarialLoopStarts()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shift " << start.shift << " counter "
+                     << start.counter << " bound " << start.bound
+                     << " budget " << start.budget);
+        expectLoopDifferential(src, UopKind::kPopcntLoop, start, 100000);
+    }
+}
+
+TEST(MachineTest, LcgLoopMatchesStepFromAdversarialStates)
+{
+    // The LCG-accumulate loop shares the counted exit; a counter at
+    // INT32_MAX must wrap and keep looping exactly as step() does.
+    const char* src = R"(
+        movi r5, 12345
+loop:
+        mul  r5, r5, #1103515245
+        add  r5, r5, #12345
+        shr  r7, r5, #16
+        xor  r5, r5, r7
+        add  r6, r6, r5
+        add  r8, r8, #1
+        blt  r8, r9, loop
+        halt
+)";
+    for (const LoopStart& start : adversarialLoopStarts()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "state " << start.shift << " counter "
+                     << start.counter << " bound " << start.bound
+                     << " budget " << start.budget);
+        expectLoopDifferential(src, UopKind::kLcgAccLoop, start, 100000);
+    }
+}
+
+TEST(MachineTest, PopcntLoopFormsOnBitcntUnderEveryScheme)
+{
+    // The bit-count loop carries no boundary or checkpoint, so every
+    // scheme leaves it intact and the block tier collapses it.
+    Program p = workloads::build("bitcnt");
+    for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet,
+                          Scheme::kGeckoNoPrune, Scheme::kGecko}) {
+        CompiledProgram c = compiler::compile(p, scheme);
+        Rig rig;
+        Machine m(c, rig.nvm, rig.io);
+        m.setExecBackend(ExecBackend::kBlock);
+        m.setStagedIo(scheme != Scheme::kNvp);
+        while (!m.halted())
+            m.run(1u << 20, nullptr);
+        EXPECT_EQ(m.compiledUopCount(UopKind::kPopcntLoop), 1u)
+            << compiler::schemeName(scheme);
+    }
+}
+
 TEST(MachineTest, ParseExecBackendAcceptsOnlyStepAndBlock)
 {
     EXPECT_EQ(parseExecBackend("step"), ExecBackend::kStep);
