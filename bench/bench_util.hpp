@@ -98,6 +98,8 @@ struct Telemetry {
     std::atomic<std::uint64_t> coalescedQuanta{0};
     /// Quanta stepped while sleeping (schema v8).
     std::atomic<std::uint64_t> sleepQuanta{0};
+    /// Quanta the fused EMI-active kernel advanced (schema v9).
+    std::atomic<std::uint64_t> fusedQuanta{0};
     /// Checkpoint-integrity defence counters (runtime::RuntimeStats)
     /// accumulated across every victim run of the process.
     std::atomic<std::uint64_t> corruptedRestores{0};
@@ -274,6 +276,8 @@ writeBenchReport(const std::string& figure, const std::string& status = "")
         telemetry().coalescedQuanta.load(std::memory_order_relaxed);
     report.sleepQuanta =
         telemetry().sleepQuanta.load(std::memory_order_relaxed);
+    report.fusedQuanta =
+        telemetry().fusedQuanta.load(std::memory_order_relaxed);
     report.figureData = telemetry().figureData;
     {
         std::lock_guard<std::mutex> lock(telemetry().mutex);
@@ -418,6 +422,8 @@ runVictim(const VictimConfig& vc, const attack::InjectionRig* rig,
         simulation.stats.coalescedQuanta, std::memory_order_relaxed);
     telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
                                       std::memory_order_relaxed);
+    telemetry().fusedQuanta.fetch_add(simulation.stats.fusedQuanta,
+                                      std::memory_order_relaxed);
     noteRuntimeStats(simulation.geckoRuntime().stats);
     return out;
 }
@@ -445,6 +451,8 @@ noteSimRun(sim::IntermittentSim& simulation)
     telemetry().coalescedQuanta.fetch_add(
         simulation.stats.coalescedQuanta, std::memory_order_relaxed);
     telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
+                                      std::memory_order_relaxed);
+    telemetry().fusedQuanta.fetch_add(simulation.stats.fusedQuanta,
                                       std::memory_order_relaxed);
 }
 

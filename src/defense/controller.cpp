@@ -194,15 +194,6 @@ DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
     return 0;
 }
 
-int
-DefenseController::calmDwell() const
-{
-    const int shift = std::min(relapseLevel_, config_.relapseLevelCap);
-    const long long dwell =
-        static_cast<long long>(config_.calmSamples) << std::min(shift, 20);
-    return static_cast<int>(std::min<long long>(dwell, 1 << 20));
-}
-
 void
 DefenseController::decayAndMaybeDeescalate(double t)
 {

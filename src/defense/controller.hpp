@@ -1,6 +1,8 @@
 #ifndef GECKO_DEFENSE_CONTROLLER_HPP_
 #define GECKO_DEFENSE_CONTROLLER_HPP_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "analog/voltage_monitor.hpp"
@@ -51,6 +53,32 @@ class DefenseController
     void observeSample(double t, double vLo, double vHi,
                        const analog::MonitorEvent& primary,
                        const analog::MonitorEvent& shadow);
+
+    /**
+     * The inline per-sample step of observeSample: the sample counters,
+     * the stepped score decay, the calm run, the edge-skew windows and
+     * the last-sample record.  Applies the sample and returns true when
+     * observeSample would take no transition on it.  Otherwise returns
+     * false and leaves every field untouched; the caller then hands the
+     * sample to observeSample.  A transition is physics or
+     * disagreement evidence (including a matured edge), a relapse-level
+     * change or a de-escalation.  The simulator's quantum fast paths
+     * step the controller through this (DESIGN.md §14).
+     */
+    bool stepSample(double t, double vLo, double vHi,
+                    const analog::MonitorEvent& primary,
+                    const analog::MonitorEvent& shadow);
+
+    /**
+     * Whether one noteCommit after a fused machine run equals the
+     * per-quantum calls it replaces: with no energy debt outstanding
+     * every call leaves it at exactly 0, and outside kDegraded no
+     * sample reads committedSinceDegrade_ (DESIGN.md §14).
+     */
+    bool commitsGroup() const
+    {
+        return stats_.energyDebtJ == 0.0 && mode_ != Mode::kDegraded;
+    }
 
     /** Boot-time detector verdicts (§VI-A ACK / timer evidence). */
     void noteBootEvidence(double t, bool ackDetect, bool timerDetect);
@@ -114,7 +142,13 @@ class DefenseController
     void addEvidence(double t, double weight, std::uint64_t evidence);
     /// Calm dwell currently required to step one mode down:
     /// calmSamples doubled once per relapse level.
-    int calmDwell() const;
+    int calmDwell() const
+    {
+        const int shift = std::min(relapseLevel_, config_.relapseLevelCap);
+        const long long dwell = static_cast<long long>(config_.calmSamples)
+                                << std::min(shift, 20);
+        return static_cast<int>(std::min<long long>(dwell, 1 << 20));
+    }
     void decayAndMaybeDeescalate(double t);
     /// One-monitor edge pulse awaiting the other monitor's matching
     /// pulse (lead: +1 primary, -1 shadow, 0 empty).
@@ -126,6 +160,10 @@ class DefenseController
     /// returns the number of disagreement charges that matured.
     int trackEdge(PendingEdge& pending, bool primaryPulse,
                   bool shadowPulse);
+    /// trackEdge without the charge: false if a charge would mature,
+    /// else updates `pending` and counts a reconciled skew in `skews`.
+    bool stepEdge(PendingEdge& pending, bool primaryPulse,
+                  bool shadowPulse, std::uint64_t& skews) const;
     void escalateTo(double t, Mode target);
     void setMode(double t, Mode next);
     void tripRatchet(double t, std::uint32_t regionId,
@@ -171,6 +209,89 @@ class DefenseController
 
     DefenseStats stats_;
 };
+
+inline bool
+DefenseController::stepEdge(PendingEdge& pending, bool primaryPulse,
+                            bool shadowPulse, std::uint64_t& skews) const
+{
+    if (primaryPulse && shadowPulse) {
+        pending = PendingEdge{};
+        return true;
+    }
+    if (primaryPulse != shadowPulse) {
+        const int lead = primaryPulse ? 1 : -1;
+        if (pending.lead == lead)
+            return false;
+        if (pending.lead == -lead) {
+            ++skews;
+            pending = PendingEdge{};
+        } else {
+            pending.lead = lead;
+            pending.age = 0;
+        }
+        return true;
+    }
+    return pending.lead == 0 || ++pending.age <= config_.edgeSkewSamples;
+}
+
+inline bool
+DefenseController::stepSample(double t, double vLo, double vHi,
+                              const analog::MonitorEvent& primary,
+                              const analog::MonitorEvent& shadow)
+{
+    // observeSample's order, deciding every transition before any
+    // field is written.
+    const double mid = 0.5 * (vLo + vHi);
+    if (lastSampleT_ >= 0.0 && t > lastSampleT_) {
+        const double bound =
+            (t - lastSampleT_) * maxSlewVps_ + config_.physicsMarginV;
+        if ((vHi - vLo) > bound || std::abs(mid - lastSampleV_) > bound)
+            return false;
+    }
+    const bool disagree =
+        primary.backup != shadow.backup || primary.wake != shadow.wake;
+    PendingEdge backup = pendingBackup_;
+    PendingEdge wake = pendingWake_;
+    std::uint64_t skews = 0;
+    if (config_.edgeSkewSamples <= 0) {
+        if (disagree)
+            return false;
+    } else if (!stepEdge(backup, primary.backup, shadow.backup, skews) ||
+               !stepEdge(wake, primary.wake, shadow.wake, skews)) {
+        return false;
+    }
+
+    // decayAndMaybeDeescalate, stepped exactly as it is there.
+    const double score =
+        std::max(0.0, score_ * (1.0 - config_.decayPerSample));
+    int calm = calmRun_;
+    if (score > config_.scoreClear) {
+        calm = 0;
+    } else if (mode_ == Mode::kNominal) {
+        if (relapseLevel_ > 0 && ++calm >= calmDwell())
+            return false;  // forgives a relapse level
+    } else if (++calm >= calmDwell()) {
+        if (mode_ != Mode::kDegraded || committedSinceDegrade_)
+            return false;  // steps one mode down
+        calm = 0;
+    }
+
+    ++stats_.samples;
+    if (sinceDeescalation_ != ~std::uint64_t{0})
+        ++sinceDeescalation_;
+    if (disagree)
+        ++stats_.disagreements;
+    stats_.edgeSkews += skews;
+    score_ = score;
+    if (score_ < config_.scoreClear)
+        aboveSuspicion_ = false;
+    calmRun_ = calm;
+    pendingBackup_ = backup;
+    pendingWake_ = wake;
+    lastSampleT_ = t;
+    lastSampleV_ = mid;
+    return true;
+}
 
 }  // namespace gecko::defense
 

@@ -172,6 +172,14 @@ class Capacitor
     }
 
     /**
+     * Adopt the stored energy a march of quietStepEnergy calls reached
+     * from energy(): the same value the matching quietStep calls would
+     * leave, so the coalescing commit takes it instead of replaying
+     * them.
+     */
+    void adoptQuietEnergy(double energyJ) { energyJ_ = energyJ; }
+
+    /**
      * Pure form of quietStep's energy update: the stored energy after
      * one quiet quantum drawing `joules` under plan `p`.  Static so the
      * coalescing proof can march the *exact* burst trajectory on local

@@ -84,6 +84,7 @@ BenchReport::toJson() const
        << ",\"quanta\":" << quanta
        << ",\"sleep_quanta\":" << sleepQuanta
        << ",\"coalesced_quanta\":" << coalescedQuanta
+       << ",\"fused_quanta\":" << fusedQuanta
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())

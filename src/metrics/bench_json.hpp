@@ -64,10 +64,14 @@ struct SweepRecord {
  *  - 8: added `sleep_quanta` next to `quanta`: monitor-sample quanta
  *    stepped while sleeping, which `quanta` (running quanta) omits —
  *    about half of all stepped quanta under a continuous tone.
+ *  - 9: added `fused_quanta` next to `coalesced_quanta`: running and
+ *    sleeping quanta advanced by the fused EMI-active kernel (DESIGN.md
+ *    §14.1), so a record shows that its defended runs fuse as well as
+ *    coalesce.
  * Readers look keys up by name and ignore the ones they do not know,
  * so newer records keep aggregating under older readers.
  */
-inline constexpr int kBenchSchemaVersion = 8;
+inline constexpr int kBenchSchemaVersion = 9;
 
 /** Telemetry of one bench binary run. */
 struct BenchReport {
@@ -97,6 +101,9 @@ struct BenchReport {
     std::uint64_t coalescedQuanta = 0;
     /// Monitor-sample quanta stepped while sleeping (schema v8).
     std::uint64_t sleepQuanta = 0;
+    /// Running and sleeping quanta advanced by the fused EMI-active
+    /// kernel (schema v9).
+    std::uint64_t fusedQuanta = 0;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).
     std::string status;

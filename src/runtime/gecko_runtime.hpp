@@ -117,9 +117,11 @@ class GeckoRuntime
 
     /**
      * Whether the attack-end probe is waiting on a commit.  While it is
-     * disarmed and no defense controller is attached, `onProgress` is
-     * provably a no-op — one leg of the simulator's quantum-coalescing
-     * guard.
+     * disarmed, `onProgress` only forwards the commit count to the
+     * defense controller, so while the controller's commitsGroup()
+     * holds, one call after a fused machine run stands for the
+     * per-quantum ones — one leg of the simulator's quantum-coalescing
+     * guard (DESIGN.md §14).
      */
     bool probeArmed() const { return probeArmed_; }
 

@@ -45,6 +45,78 @@ resolveCoalesceLimit(int configured)
     return std::clamp(limit, 0, 1 << 16);
 }
 
+/**
+ * The shadow monitor's view of a sample spanning [lo, hi]: a continuous
+ * monitor sees the envelope, a sampling one the midpoint.
+ */
+analog::MonitorEvent
+shadowView(analog::VoltageMonitor& shadow, double lo, double hi)
+{
+    if (shadow.continuous() && hi > lo)
+        return shadow.observeEnvelope(lo, hi);
+    return shadow.observe(0.5 * (lo + hi));
+}
+
+/**
+ * The fast paths' per-sample defense policy without a controller: every
+ * hook is constant, so the undefended instantiations of coalescedRun
+ * and fusedQuanta compile to the plain loops.
+ */
+struct NoDefense {
+    NoDefense probe() const { return *this; }
+    void adopt(const NoDefense&) const {}
+    bool quietSample(double, double) const { return true; }
+    bool shadowQuiet(double, double) const { return true; }
+    void attackedSample(double, double, double,
+                        const analog::MonitorEvent&) const
+    {
+    }
+};
+
+/** A copy of the controller the coalescing proof marches ahead on. */
+struct ControllerProbe {
+    defense::DefenseController controller;
+    bool quietSample(double t, double v)
+    {
+        return controller.stepSample(t, v, v, {}, {});
+    }
+};
+
+/**
+ * The per-sample policy with a controller attached: the shadow monitor
+ * and the controller's inline step.  A sample that would take a
+ * transition goes to observeSample out of line.
+ */
+struct Defense {
+    defense::DefenseController& controller;
+    analog::VoltageMonitor& shadow;
+
+    ControllerProbe probe() const { return ControllerProbe{controller}; }
+
+    /// Commit a probe that marched exactly the committed quanta.
+    void adopt(const ControllerProbe& probe) const
+    {
+        controller = probe.controller;
+    }
+
+    /// The skipped shadow observations over [lo, hi] are no-ops.
+    bool shadowQuiet(double lo, double hi) const
+    {
+        return shadow.quietRange(lo, hi);
+    }
+
+    /// feedDefense for an attacked sample with tone envelope [lo, hi]:
+    /// the shadow's view, then the controller's inline step, or
+    /// observeSample for a sample that takes a transition.
+    void attackedSample(double t, double lo, double hi,
+                        const analog::MonitorEvent& primary) const
+    {
+        const analog::MonitorEvent seen = shadowView(shadow, lo, hi);
+        if (!controller.stepSample(t, lo, hi, primary, seen))
+            controller.observeSample(t, lo, hi, primary, seen);
+    }
+};
+
 }  // namespace
 
 IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
@@ -254,12 +326,8 @@ void
 IntermittentSim::feedDefense(double vLo, double vHi,
                              const analog::MonitorEvent& primary)
 {
-    analog::MonitorEvent shadow;
-    if (shadowMonitor_->continuous() && vHi > vLo)
-        shadow = shadowMonitor_->observeEnvelope(vLo, vHi);
-    else
-        shadow = shadowMonitor_->observe(0.5 * (vLo + vHi));
-    defense_->observeSample(now_, vLo, vHi, primary, shadow);
+    defense_->observeSample(now_, vLo, vHi, primary,
+                            shadowView(*shadowMonitor_, vLo, vHi));
 }
 
 void
@@ -459,15 +527,26 @@ IntermittentSim::stepRunning(double end, bool allowCoalesce)
 
     // Quantum-coalescing fast path (DESIGN.md §14).  Cheap side
     // conditions here; coalescedRun performs the physics proof.  Every
-    // skipped per-quantum hook is provably inert under these guards:
-    // updateAttack (source disabled, no window in the horizon),
-    // onProgress (no defense, probe disarmed), trace macros (no buffer
-    // installed), monitor observation (quietRange latch stability).
+    // skipped per-quantum hook is provably inert or replayed under these
+    // guards: updateAttack (source disabled, no window in the horizon),
+    // onProgress (probe disarmed; the controller's commit notes group
+    // exactly), trace macros (no buffer installed), monitor and shadow
+    // observations (quietRange latch stability), the controller's
+    // sample step (stepped by the policy, the burst cut before any
+    // transition).
     if (allowCoalesce && coalesceLimit_ >= 2 && !attacked &&
-        !monitorFault_ && defense_ == nullptr && !runtime_.probeArmed() &&
+        !monitorFault_ && !runtime_.probeArmed() &&
         (emi_ == nullptr || !emi_->enabled()) &&
-        trace::current() == nullptr && coalescedRun(stride, dt, end))
-        return;
+        trace::current() == nullptr) {
+        bool advanced = false;
+        if (defense_ == nullptr)
+            advanced = coalescedRun(NoDefense{}, stride, dt, end);
+        else if (defense_->commitsGroup())
+            advanced = coalescedRun(Defense{*defense_, *shadowMonitor_},
+                                    stride, dt, end);
+        if (advanced)
+            return;
+    }
 
     ++stats.quanta;
 
@@ -554,8 +633,10 @@ IntermittentSim::onRunningEvents(const analog::MonitorEvent& ev)
 }
 
 
+template <class Policy>
 bool
-IntermittentSim::coalescedRun(int stride, double dt, double end)
+IntermittentSim::coalescedRun(Policy defense, int stride, double dt,
+                              double end)
 {
     // ------------------------------------------------------------------
     // Burst-length selection.  Start from the configured limit and
@@ -591,6 +672,12 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
     // The end-of-quantum voltages feed the monitor proof; when that
     // fails (a declining tail approaching the V_backup crossing), halve
     // the burst — the shorter prefix spans a tighter voltage band.
+    // With a controller attached the march also steps a copy of it
+    // through each quantum's quiet sample and cuts the burst before the
+    // first sample that would take a transition, so the stepped path
+    // takes that one.  The march stops where the stepped path's
+    // horizon `end` would, so its end state (energy, carry, clock,
+    // summed budget, controller copy) is exactly the burst's.
     // ------------------------------------------------------------------
     const auto plan = cap_.planCharge(voc, rs, dt);
     const double cf = cap_.capacitance();
@@ -605,28 +692,48 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
     int k = 0;
     double vLo = 0.0;
     double vHi = 0.0;
+    double e = 0.0;
+    double carry = 0.0;
+    double t = 0.0;
+    std::uint64_t fusedPlanned = 0;
+    auto probe = defense.probe();
     for (int mTry = m;;) {
         k = 0;
-        double e = cap_.energy();
-        double carry = cycleCarry_;
+        e = cap_.energy();
+        carry = cycleCarry_;
+        t = now_;
+        fusedPlanned = 0;
+        if (mTry != m)
+            probe = defense.probe();
         while (k < mTry) {
+            // The horizon: the stepped path starts no quantum at or
+            // past `end`.
+            if (k > 0 && t >= end)
+                break;
             // Stride re-check at the top of every quantum after the
             // first (stepRunning decided it for the current one).
             if (k > 0 && config_.quietStride > 1 &&
                 (e - eBackup < 4.0 * quantumE) != fineBurst)
                 break;
-            carry += dt * device_.power.clockHz;
+            double nextCarry = carry + dt * device_.power.clockHz;
             const std::uint64_t planned =
-                carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
-            carry -= static_cast<double>(planned);
+                nextCarry > 0 ? static_cast<std::uint64_t>(nextCarry) : 0;
+            nextCarry -= static_cast<double>(planned);
             const double avail = e - energyAtVoff_;
             const std::uint64_t can =
                 avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
             if (planned > can)
                 break;  // this quantum browns out: the slow path must die
-            e = energy::Capacitor::quietStepEnergy(
+            const double nextE = energy::Capacitor::quietStepEnergy(
                 e, static_cast<double>(planned) * epc_, plan, cf, maxV);
-            const double v = std::sqrt(2.0 * e / cf);
+            const double v = std::sqrt(2.0 * nextE / cf);
+            const double nextT = t + dt;
+            if (!probe.quietSample(nextT, v))
+                break;  // a controller transition: the slow path takes it
+            e = nextE;
+            carry = nextCarry;
+            t = nextT;
+            fusedPlanned += planned;
             vLo = k == 0 ? v : std::min(vLo, v);
             vHi = k == 0 ? v : std::max(vHi, v);
             ++k;
@@ -638,49 +745,44 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
         // exact march above (EMI contributes exactly 0.0 with the
         // source disabled).  quietRange certifies that no backup/wake
         // edge can fire and no latch can move anywhere in that band —
-        // the skipped observations are pure no-ops.
-        if (monitor_->quietRange(vLo, vHi))
+        // the skipped observations are pure no-ops, the shadow's too.
+        if (monitor_->quietRange(vLo, vHi) &&
+            defense.shadowQuiet(vLo, vHi))
             break;
         if (mTry == 2)
             return false;
         mTry = std::max(2, k >> 1);
     }
-    m = k;
 
     // ------------------------------------------------------------------
-    // Commit: per-quantum energy/clock bookkeeping (bit-identical to
-    // the slow path under the proven-constant source), one fused
-    // machine run.  noteSource settles the outage latch exactly as the
-    // m skipped chargeFrom calls would.
+    // Commit: adopt the march's end state — the stored energy, cycle
+    // carry and clock it reached with the slow path's per-quantum
+    // arithmetic (bit-identical under the proven-constant source) and
+    // the controller copy it stepped through the same quanta — then one
+    // fused machine run.  noteSource settles the outage latch exactly
+    // as the k skipped chargeFrom calls would.
     // ------------------------------------------------------------------
     cap_.noteSource(voc);
-    std::uint64_t fusedPlanned = 0;
-    int q = 0;
-    for (; q < m; ++q) {
-        if (q > 0 && now_ >= end)
-            break;
-        cycleCarry_ += dt * device_.power.clockHz;
-        std::uint64_t planned =
-            cycleCarry_ > 0 ? static_cast<std::uint64_t>(cycleCarry_) : 0;
-        cycleCarry_ -= static_cast<double>(planned);
-        fusedPlanned += planned;
-        cap_.quietStep(static_cast<double>(planned) * epc_, plan);
-        now_ += dt;
-    }
+    cap_.adoptQuietEnergy(e);
+    cycleCarry_ = carry;
+    now_ = t;
+    defense.adopt(probe);
     if (emi_) {
         // The skipped point observations would each have drawn one DCO
         // jitter sample; keep the sequence aligned.
-        sampleSeq_ += static_cast<std::uint32_t>(q);
+        sampleSeq_ += static_cast<std::uint32_t>(k);
     }
-    stats.quanta += static_cast<std::uint64_t>(q);
-    stats.coalescedQuanta += static_cast<std::uint64_t>(q);
+    stats.quanta += static_cast<std::uint64_t>(k);
+    stats.coalescedQuanta += static_cast<std::uint64_t>(k);
     ++stats.coalescedBursts;
 
     // One fused run.  Sequential quanta stop the machine at cumulative
     // instruction boundaries ≥ Σplanned − debt₀, which is exactly where
     // a single budget of that size stops it; a halt or latched fault
     // that exits early is topped up with burn-budget runs, as the
-    // skipped quanta would have done one by one.
+    // skipped quanta would have done one by one.  The one onProgress
+    // (one noteCommit) stands for the per-quantum ones: the caller's
+    // commitsGroup guard makes the grouping exact.
     std::int64_t b = static_cast<std::int64_t>(fusedPlanned) - debt_;
     std::uint64_t consumedTotal = 0;
     if (b > 0) {
@@ -706,19 +808,25 @@ IntermittentSim::fusedRun(FusedSpan& span, double stopAt)
 {
     // Guards (DESIGN.md §14.1).  Each keeps a per-quantum hook the
     // kernel skips provably inert: no trace buffer (trace macros,
-    // crossing and outage events), no monitor fault and no defense
-    // controller (the only other readers of an observation).  The
-    // coalescing switch turns every fast path off together.
+    // crossing and outage events) and no monitor fault (the only other
+    // reader of an observation).  A defense controller is a policy of
+    // the kernel, not a guard.  The coalescing switch turns every fast
+    // path off together.
     if (coalesceLimit_ < 2 || !attackActive() || monitorFault_ ||
-        defense_ != nullptr || trace::current() != nullptr)
+        trace::current() != nullptr)
         return false;
     if (now_ >= span.until && !proveFusedSpan(span))
         return false;
-    if (compMonitor_ != nullptr)
-        return fusedQuanta(*compMonitor_, span, stopAt);
-    if (adcMonitor_ != nullptr)
-        return fusedQuanta(*adcMonitor_, span, stopAt);
-    return false;
+    const auto run = [&](auto policy) {
+        if (compMonitor_ != nullptr)
+            return fusedQuanta(*compMonitor_, policy, span, stopAt);
+        if (adcMonitor_ != nullptr)
+            return fusedQuanta(*adcMonitor_, policy, span, stopAt);
+        return false;
+    };
+    if (defense_ == nullptr)
+        return run(NoDefense{});
+    return run(Defense{*defense_, *shadowMonitor_});
 }
 
 bool
@@ -749,17 +857,16 @@ IntermittentSim::proveFusedSpan(FusedSpan& span)
     return true;
 }
 
-template <class Monitor>
+template <class Monitor, class Policy>
 bool
-IntermittentSim::fusedQuanta(Monitor& monitor, const FusedSpan& span,
-                             double stopAt)
+IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
+                             const FusedSpan& span, double stopAt)
 {
     const bool running = state_ == State::kRunning;
     const double dt = span.dt;
     const double cyclesPerQuantum = dt * device_.power.clockHz;
     const double sleepJ = device_.power.sleepPowerW * dt;
     const double amplitude = emi_->amplitude();
-    const double lockoutV = vOff_ + config_.bootLockoutV;
     bool advanced = false;
     while (now_ < stopAt && now_ < span.until) {
         if (running) {
@@ -791,21 +898,30 @@ IntermittentSim::fusedQuanta(Monitor& monitor, const FusedSpan& span,
         ++stats.fusedQuanta;
         now_ += dt;
 
-        // observeMonitor's attacked branch for this monitor type.
+        // observeMonitor's attacked branch for this monitor type, then
+        // feedDefense's.  A sample that takes a controller transition
+        // goes to observeSample right here, as in the stepped path; the
+        // kernel runs no machine and reads every mode-dependent policy
+        // live below (jitActive at a backup, wakeAllowed at a wake), so
+        // it goes on after one.
         const double v = cap_.voltage();
         analog::MonitorEvent ev;
         if constexpr (std::is_same_v<Monitor, analog::ComparatorMonitor>)
             ev = monitor.observeEnvelope(v - amplitude, v + amplitude);
         else
             ev = monitor.observe(v + emiAt(now_));
+        defense.attackedSample(now_, v - amplitude, v + amplitude, ev);
 
         if (!running) {
+            // Every wake goes through onSleepingWake, as in the stepped
+            // path, so a controller's wakeAllowed (which counts a
+            // deferral) is called exactly where it would be.  A wake
+            // that does not boot (brown-out lockout or deferral) leaves
+            // the node asleep, and the kernel goes on.
             if (ev.wake) {
-                if (v > lockoutV) {
-                    onSleepingWake();  // boots
+                onSleepingWake();
+                if (state_ == State::kRunning)
                     return true;
-                }
-                ++stats.wakeSignals;
             }
             continue;
         }

@@ -263,23 +263,28 @@ class IntermittentSim
     /// Quantum-coalescing fast path (DESIGN.md §14).  Called with the
     /// cheap preconditions already established; proves a burst of up to
     /// coalesceLimit_ quanta inert (steady source, no attack window, no
-    /// monitor edge reachable, no brown-out or V_backup approach) and
-    /// replays it with per-quantum energy bookkeeping but one fused
-    /// machine run.  @return true if it advanced the simulation.
-    bool coalescedRun(int stride, double dt, double end);
+    /// monitor edge reachable, no brown-out or V_backup approach, no
+    /// controller transition) by marching its per-quantum energy and
+    /// controller bookkeeping, then commits the march's end state and
+    /// one fused machine run.  `Policy` is the static per-sample
+    /// defense policy (a no-op without a controller).  @return true if
+    /// it advanced the simulation.
+    template <class Policy>
+    bool coalescedRun(Policy defense, int stride, double dt, double end);
     /**
      * Fused EMI-active kernel (DESIGN.md §14.1): steps attacked quanta,
      * running and sleeping, in one loop until the machine must run, a
      * brown-out looms, a backup arms the JIT checkpoint, a wake boots,
-     * or `stopAt` / the span's end is reached.  @return true if it
-     * advanced the simulation; false leaves the quantum to the stepped
-     * path.
+     * or `stopAt` / the span's end is reached.  `Policy` is the static
+     * per-sample defense policy, as for coalescedRun.  @return true if
+     * it advanced the simulation; false leaves the quantum to the
+     * stepped path.
      */
     bool fusedRun(FusedSpan& span, double stopAt);
     bool proveFusedSpan(FusedSpan& span);
-    template <class Monitor>
-    bool fusedQuanta(Monitor& monitor, const FusedSpan& span,
-                     double stopAt);
+    template <class Monitor, class Policy>
+    bool fusedQuanta(Monitor& monitor, Policy defense,
+                     const FusedSpan& span, double stopAt);
     /// Backup/wake bookkeeping after a running quantum's observation.
     void onRunningEvents(const analog::MonitorEvent& ev);
     /// A wake observed while sleeping: boots unless the brown-out

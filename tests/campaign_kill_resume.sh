@@ -21,9 +21,12 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/gecko_killres.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
 # Big enough that the kill window reliably lands mid-campaign, small
-# enough to stay a smoke test (~1-2 s per full pass on one core).
+# enough to stay a smoke test (~1-2 s per full pass on one core).  The
+# adaptive arm puts defended jobs, whose controller steps inside the
+# quantum fast paths, through the snapshot/resume round trip.
 ARGS=(--threads=4 --seed=7 --workloads=sensor_loop,crc16
-      --schemes=NVP,GECKO --seeds=16 --sim=0.3 --slice=0.03)
+      --schemes=NVP,GECKO --defenses=static,adaptive --seeds=16 --sim=0.3
+      --slice=0.03)
 
 echo "== reference (uninterrupted) run"
 "$RUNNER" "${ARGS[@]}" --fresh --dir="$WORK/ref" \

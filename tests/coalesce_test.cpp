@@ -12,6 +12,7 @@
 #include "campaign/archive.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/pipeline.hpp"
+#include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "exp/rng.hpp"
@@ -65,6 +66,15 @@ class Rng
     std::uint32_t state_;
 };
 
+/** SimConfig::defense for a campaign preset ("static" = none). */
+defense::DefenseConfig
+preset(const char* name)
+{
+    defense::DefenseConfig config;
+    EXPECT_TRUE(defense::presetByName(name, &config)) << name;
+    return config;
+}
+
 /** Everything observable about a finished run. */
 struct Obs {
     sim::ExecStats stats;
@@ -77,7 +87,10 @@ struct Obs {
     std::uint64_t sleepQuanta = 0;
     std::uint64_t coalescedQuanta = 0;
     std::uint64_t fusedQuanta = 0;
-    /// IntermittentSim::archiveState bytes.
+    /// A defense controller was attached, and its counters.
+    bool defended = false;
+    defense::DefenseStats defense;
+    /// IntermittentSim::archiveState bytes (controller state included).
     std::vector<std::uint8_t> snapshot;
     /// All SimStats counters that must not depend on coalescing.
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
@@ -100,6 +113,11 @@ capture(sim::IntermittentSim& simulation, sim::IoHub& io)
     o.sleepQuanta = simulation.stats.sleepQuanta;
     o.coalescedQuanta = simulation.stats.coalescedQuanta;
     o.fusedQuanta = simulation.stats.fusedQuanta;
+    if (const defense::DefenseController* dc =
+            simulation.defenseController()) {
+        o.defended = true;
+        o.defense = dc->stats();
+    }
     campaign::Archive ar = campaign::Archive::saver();
     simulation.archiveState(ar);
     o.snapshot = ar.takePayload();
@@ -138,11 +156,13 @@ expectSame(const Obs& on, const Obs& off, const std::string& label)
 // ---------------------------------------------------------------------
 // Quiet-run engagement: a steady source with no attacker is the
 // coalescing fast path's home turf.  The enabled arm must absorb most
-// quanta into bursts and still match the disabled arm bit-for-bit.
+// quanta into bursts and still match the disabled arm bit-for-bit, with
+// and without the adaptive controller (whose every quiet sample the
+// bursts step inline).
 // ---------------------------------------------------------------------
 
 Obs
-runQuiet(int coalesceQuanta, sim::ExecBackend backend)
+runQuiet(int coalesceQuanta, sim::ExecBackend backend, const char* defense)
 {
     static const CompiledProgram compiled = compiler::compile(
         workloads::build("sensor_loop"), Scheme::kGecko);
@@ -154,6 +174,7 @@ runQuiet(int coalesceQuanta, sim::ExecBackend backend)
     cfg.cap.capacitanceF = 20e-6;
     cfg.cap.initialV = 3.3;
     cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(defense);
 
     sim::IoHub io;
     workloads::setupIo("sensor_loop", io);
@@ -168,17 +189,131 @@ runQuiet(int coalesceQuanta, sim::ExecBackend backend)
 
 TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
 {
-    for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
-        const char* name = sim::execBackendName(backend);
-        Obs on = runQuiet(64, backend);
-        Obs off = runQuiet(0, backend);
-        ASSERT_GT(on.stats.cycles, 0u) << name;
-        EXPECT_GT(on.coalescedQuanta, 0u)
-            << name << ": fast path never engaged on a quiet run";
-        EXPECT_EQ(off.coalescedQuanta, 0u) << name;
-        expectSame(on, off, name);
-    }
+    for (const char* defense : {"static", "adaptive"})
+        for (sim::ExecBackend backend :
+             {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+            const std::string name = std::string(defense) + "/" +
+                                     sim::execBackendName(backend);
+            Obs on = runQuiet(64, backend, defense);
+            Obs off = runQuiet(0, backend, defense);
+            ASSERT_GT(on.stats.cycles, 0u) << name;
+            EXPECT_EQ(on.defended, std::string(defense) != "static")
+                << name;
+            EXPECT_GT(on.coalescedQuanta, 0u)
+                << name << ": fast path never engaged on a quiet run";
+            EXPECT_EQ(off.coalescedQuanta, 0u) << name;
+            expectSame(on, off, name);
+        }
+}
+
+// ---------------------------------------------------------------------
+// Defended outage cycles: a square-wave supply with no attacker takes
+// the capacitor through real V_backup and V_on crossings, where the two
+// monitors legitimately flag the same edge a sample apart.  Each
+// primary kind runs with the controller (its shadow is the opposite
+// kind, whose edges can fall inside a band the primary certifies
+// quiet), and bursts must still match the stepped path bit-for-bit.
+// ---------------------------------------------------------------------
+
+Obs
+runOutageCycles(analog::MonitorKind monitor, const char* defense,
+                int coalesceQuanta)
+{
+    static const CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    sim::SimConfig cfg;
+    cfg.monitorKind = monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(defense);
+
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    energy::SquareWaveHarvester supply(3.3, 5.0, 0.004, 0.003);
+    sim::IntermittentSim simulation(compiled,
+                                    device::DeviceDb::msp430fr5994(), cfg,
+                                    supply, io);
+    simulation.run(0.05);
+    return capture(simulation, io);
+}
+
+TEST(CoalesceQuietTest, DefendedOutageCyclesMatchSteppedPath)
+{
+    for (analog::MonitorKind monitor :
+         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+        for (const char* defense : {"adaptive", "strict"}) {
+            const std::string name =
+                std::string(analog::monitorKindName(monitor)) + "/" +
+                defense;
+            Obs on = runOutageCycles(monitor, defense, 64);
+            Obs off = runOutageCycles(monitor, defense, 0);
+            ASSERT_TRUE(on.defended) << name;
+            EXPECT_GT(std::get<0>(on.counters), 1u)
+                << name << ": no power cycles";
+            EXPECT_GT(on.defense.disagreements, 0u)
+                << name << ": the monitors never split on an edge";
+            EXPECT_GT(on.coalescedQuanta, 0u) << name;
+            expectSame(on, off, name);
+        }
+}
+
+// ---------------------------------------------------------------------
+// Brown-out cuts: with V_backup a few millivolts above V_off, the last
+// quanta before an outage stay above V_backup (the monitors certify the
+// band quiet) until one cannot be paid for.  A burst marching down the
+// discharge therefore ends on the brown-out check after accepting
+// quanta, and the commit must adopt only the accepted ones: their
+// energy, cycle carry and, when defended, controller state.
+// ---------------------------------------------------------------------
+
+Obs
+runBrownOutCuts(analog::MonitorKind monitor, const char* defense,
+                int coalesceQuanta)
+{
+    static const CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    // 8 MHz over a 90 kHz ADC or a 1.5 MHz comparator: a fractional
+    // cycle budget per quantum, so the cycle carry moves every quantum.
+    const device::DeviceProfile& device =
+        device::DeviceDb::byName("MSP430FR6989");
+    sim::SimConfig cfg;
+    cfg.monitorKind = monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.vBackupOverride = device.vOff + 0.001;
+    cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(defense);
+
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    energy::SquareWaveHarvester supply(3.3, 5.0, 0.004, 0.003);
+    sim::IntermittentSim simulation(compiled, device, cfg, supply, io);
+    simulation.run(0.05);
+    return capture(simulation, io);
+}
+
+TEST(CoalesceQuietTest, BrownOutCutsMatchSteppedPath)
+{
+    for (analog::MonitorKind monitor :
+         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+        for (const char* defense : {"static", "adaptive", "strict"}) {
+            const std::string name =
+                std::string(analog::monitorKindName(monitor)) + "/" +
+                defense;
+            Obs on = runBrownOutCuts(monitor, defense, 64);
+            Obs off = runBrownOutCuts(monitor, defense, 0);
+            EXPECT_EQ(on.defended, std::string(defense) != "static")
+                << name;
+            EXPECT_GT(std::get<1>(on.counters), 1u)
+                << name << ": no brown-outs";
+            EXPECT_GT(on.coalescedQuanta, 0u) << name;
+            expectSame(on, off, name);
+        }
 }
 
 // ---------------------------------------------------------------------
@@ -200,7 +335,7 @@ struct EmiEnv {
 /** Deterministic (seed-derived) build; identical every call. */
 void
 buildEmiEnv(EmiEnv& env, std::uint32_t seed, sim::ExecBackend backend,
-            int coalesceQuanta)
+            int coalesceQuanta, const char* defense)
 {
     Rng rng(seed);
     double freqHz = 1e6 * (1 + rng.pick(300));
@@ -226,6 +361,7 @@ buildEmiEnv(EmiEnv& env, std::uint32_t seed, sim::ExecBackend backend,
     cfg.cap.capacitanceF = 20e-6;
     cfg.cap.initialV = 3.3;
     cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(defense);
 
     workloads::setupIo("sensor_loop", env.io);
     env.supply = std::make_unique<energy::ConstantHarvester>(3.3, 5.0);
@@ -242,10 +378,11 @@ buildEmiEnv(EmiEnv& env, std::uint32_t seed, sim::ExecBackend backend,
 }
 
 Obs
-runEmi(std::uint32_t seed, sim::ExecBackend backend, int coalesceQuanta)
+runEmi(std::uint32_t seed, sim::ExecBackend backend, int coalesceQuanta,
+       const char* defense)
 {
     EmiEnv env;
-    buildEmiEnv(env, seed, backend, coalesceQuanta);
+    buildEmiEnv(env, seed, backend, coalesceQuanta, defense);
     env.simulation->run(0.03);
     return capture(*env.simulation, env.io);
 }
@@ -258,22 +395,27 @@ TEST_P(CoalesceEmiFuzzTest, RandomEmiSchedulesUnchangedByCoalescing)
 {
     auto seed =
         static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
-    std::uint64_t engaged = 0;
-    for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
-        const char* name = sim::execBackendName(backend);
-        Obs on = runEmi(seed, backend, 64);
-        Obs off = runEmi(seed, backend, 0);
-        ASSERT_GT(on.stats.cycles, 0u) << name << " seed " << seed;
-        EXPECT_EQ(off.coalescedQuanta, 0u) << name << " seed " << seed;
-        EXPECT_EQ(off.fusedQuanta, 0u) << name << " seed " << seed;
-        expectSame(on, off,
-                   std::string(name) + " seed " + std::to_string(seed));
-        engaged += on.coalescedQuanta;
+    for (const char* defense : {"static", "adaptive"}) {
+        std::uint64_t engaged = 0;
+        for (sim::ExecBackend backend :
+             {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+            const std::string name = std::string(defense) + "/" +
+                                     sim::execBackendName(backend) +
+                                     " seed " + std::to_string(seed);
+            Obs on = runEmi(seed, backend, 64, defense);
+            Obs off = runEmi(seed, backend, 0, defense);
+            ASSERT_GT(on.stats.cycles, 0u) << name;
+            EXPECT_EQ(on.defended, std::string(defense) != "static")
+                << name;
+            EXPECT_EQ(off.coalescedQuanta, 0u) << name;
+            EXPECT_EQ(off.fusedQuanta, 0u) << name;
+            expectSame(on, off, name);
+            engaged += on.coalescedQuanta;
+        }
+        // The schedules leave quiet gaps between windows; at least some
+        // of them must have been absorbed by the fast path.
+        EXPECT_GT(engaged, 0u) << defense << " seed " << seed;
     }
-    // The schedules leave quiet gaps between windows; at least some of
-    // them must have been absorbed by the fast path.
-    EXPECT_GT(engaged, 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceEmiFuzzTest,
@@ -358,17 +500,20 @@ TEST(CoalesceInjectorTest, AllInjectorsUnaffectedByCoalescing)
 // ---------------------------------------------------------------------
 
 Obs
-runEmiSliced(std::uint32_t seed, int snapshotAt)
+runEmiSliced(std::uint32_t seed, int snapshotAt, const char* defense,
+             int coalesceQuanta = 64)
 {
     auto env = std::make_unique<EmiEnv>();
-    buildEmiEnv(*env, seed, sim::ExecBackend::kBlock, 64);
+    buildEmiEnv(*env, seed, sim::ExecBackend::kBlock, coalesceQuanta,
+                defense);
     for (int k = 0; k < 4; ++k) {
         env->simulation->run(0.005);
         if (k + 1 == snapshotAt) {
             std::vector<std::uint8_t> blob =
                 campaign::saveSimSnapshot(*env->simulation, env->io);
             env = std::make_unique<EmiEnv>();
-            buildEmiEnv(*env, seed, sim::ExecBackend::kBlock, 64);
+            buildEmiEnv(*env, seed, sim::ExecBackend::kBlock,
+                        coalesceQuanta, defense);
             campaign::restoreSimSnapshot(*env->simulation, env->io, blob);
         }
     }
@@ -383,22 +528,29 @@ TEST_P(CoalesceSnapshotTest, SnapshotRestoreInvisibleWithCoalescing)
 {
     auto seed =
         static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
-    Obs ref = runEmiSliced(seed, -1);
-    ASSERT_GT(ref.stats.cycles, 0u) << "seed " << seed;
-    for (int at : {1, 2, 3}) {
-        Obs obs = runEmiSliced(seed, at);
-        // The telemetry counters restart at zero on restore, so only
-        // the architectural observables are compared — via expectSame
-        // minus the quantum counters.
-        EXPECT_TRUE(obs.stats == ref.stats)
-            << "snapshot@" << at << " seed " << seed;
-        EXPECT_EQ(obs.regs, ref.regs) << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.out, ref.out) << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.memory, ref.memory)
-            << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.simTimeS, ref.simTimeS)
-            << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.now, ref.now) << "@" << at << " seed " << seed;
+    for (const char* defense : {"static", "adaptive"}) {
+        const std::string name =
+            std::string(defense) + " seed " + std::to_string(seed);
+        Obs ref = runEmiSliced(seed, -1, defense);
+        ASSERT_GT(ref.stats.cycles, 0u) << name;
+        EXPECT_GT(ref.coalescedQuanta + ref.fusedQuanta, 0u) << name;
+        // The uninterrupted run itself matches the stepped path.
+        expectSame(ref, runEmiSliced(seed, -1, defense, 0), name);
+        for (int at : {1, 2, 3}) {
+            Obs obs = runEmiSliced(seed, at, defense);
+            // The telemetry counters restart at zero on restore, so
+            // only the architectural observables and the archived state
+            // are compared — via expectSame minus the quantum counters.
+            const std::string label = name + " @" + std::to_string(at);
+            EXPECT_TRUE(obs.stats == ref.stats) << label;
+            EXPECT_EQ(obs.regs, ref.regs) << label;
+            EXPECT_EQ(obs.out, ref.out) << label;
+            EXPECT_EQ(obs.memory, ref.memory) << label;
+            EXPECT_EQ(obs.simTimeS, ref.simTimeS) << label;
+            EXPECT_EQ(obs.now, ref.now) << label;
+            EXPECT_TRUE(obs.snapshot == ref.snapshot)
+                << label << ": archived simulator state diverged";
+        }
     }
 }
 
@@ -415,7 +567,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceSnapshotTest,
 // and JIT-arming backups, boots, brown-outs and supply edges.  Every arm
 // runs with the kernel on and off and must match bit-for-bit.  The
 // monitor-fault arm is one of the kernel's guards: it must stay off there
-// and the stepped path must still agree with itself.
+// and the stepped path must still agree with itself.  The adaptive and
+// strict arms attach the controller to GECKO (a policy of the kernel,
+// stepped per sample); NVP never gets one.
 // ---------------------------------------------------------------------
 
 enum class FaultArm { kNone, kJitWrite, kMonitor };
@@ -425,6 +579,7 @@ struct KernelCase {
     Scheme scheme;
     bool scheduled;
     FaultArm fault;
+    const char* defense;
 };
 
 std::string
@@ -434,7 +589,7 @@ kernelCaseName(const KernelCase& c, sim::ExecBackend backend)
     return std::string(analog::monitorKindName(c.monitor)) + "/" +
            compiler::schemeName(c.scheme) + "/" +
            (c.scheduled ? "windows" : "tone") + "/" +
-           kFaults[static_cast<int>(c.fault)] + "/" +
+           kFaults[static_cast<int>(c.fault)] + "/" + c.defense + "/" +
            sim::execBackendName(backend);
 }
 
@@ -454,6 +609,7 @@ runKernelCase(const KernelCase& c, sim::ExecBackend backend,
     cfg.bootOverheadCycles = 1000;
     cfg.cap.capacitanceF = 20e-6;
     cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(c.defense);
 
     sim::IoHub io;
     workloads::setupIo("sensor_loop", io);
@@ -485,31 +641,95 @@ runKernelCase(const KernelCase& c, sim::ExecBackend backend,
 
 TEST(FusedKernelTest, EmiActiveMatrixMatchesSteppedPath)
 {
+    for (const char* defense : {"static", "adaptive", "strict"})
+        for (analog::MonitorKind monitor :
+             {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+            for (Scheme scheme : {Scheme::kNvp, Scheme::kGecko})
+                for (bool scheduled : {false, true})
+                    for (FaultArm fault :
+                         {FaultArm::kNone, FaultArm::kJitWrite,
+                          FaultArm::kMonitor})
+                        for (sim::ExecBackend backend :
+                             {sim::ExecBackend::kStep,
+                              sim::ExecBackend::kBlock}) {
+                            const KernelCase c{monitor, scheme, scheduled,
+                                               fault, defense};
+                            const std::string name =
+                                kernelCaseName(c, backend);
+                            Obs on = runKernelCase(c, backend, 64);
+                            Obs off = runKernelCase(c, backend, 0);
+                            ASSERT_GT(on.stats.cycles, 0u) << name;
+                            EXPECT_EQ(on.defended,
+                                      scheme == Scheme::kGecko &&
+                                          std::string(defense) != "static")
+                                << name << ": controller attachment";
+                            EXPECT_GT(on.sleepQuanta, 0u) << name;
+                            EXPECT_EQ(off.fusedQuanta, 0u) << name;
+                            if (fault == FaultArm::kMonitor)
+                                EXPECT_EQ(on.fusedQuanta, 0u)
+                                    << name << ": kernel ran past its guard";
+                            else
+                                EXPECT_GT(on.fusedQuanta, 0u)
+                                    << name << ": kernel never engaged";
+                            expectSame(on, off, name);
+                        }
+}
+
+// ---------------------------------------------------------------------
+// The defended arc under a sustained resonant tone (DESIGN.md §11):
+// detection, the ratchet into kDegraded, forged wakes deferred by the
+// recharge dwell (many of them below the boot lockout), and recovery
+// after the tone.  The fused kernel must call wakeAllowed exactly where
+// the stepped path does, so the deferral count and every other
+// controller field match with the fast paths on and off.
+// ---------------------------------------------------------------------
+
+Obs
+runDefendedArc(analog::MonitorKind monitor, int coalesceQuanta)
+{
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    static const CompiledProgram compiled = [] {
+        compiler::PipelineConfig pconfig;
+        pconfig.maxRegionCycles = 60000;
+        return compiler::compile(workloads::build("sensor_app"),
+                                 Scheme::kGecko, pconfig);
+    }();
+    sim::SimConfig cfg;
+    cfg.monitorKind = monitor;
+    cfg.cap.capacitanceF = 1e-3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset("adaptive");
+    cfg.defense.energyDebtBudgetJ = 2.5e-3;
+
+    sim::IoHub io;
+    workloads::setupIo("sensor_app", io);
+    energy::ConstantHarvester supply(3.3, 600.0);
+    const double freqHz =
+        monitor == analog::MonitorKind::kAdc ? 27e6 : 5e6;
+    attack::RemoteRig rig(dev, monitor, 0.5);
+    attack::EmiSource source(rig, freqHz, 38.0);
+    attack::AttackSchedule schedule({{0.2, 2.2, freqHz, 38.0}});
+    sim::IntermittentSim simulation(compiled, dev, cfg, supply, io);
+    simulation.setEmiSource(&source);
+    simulation.setAttackSchedule(&schedule);
+    simulation.run(2.6);
+    return capture(simulation, io);
+}
+
+TEST(FusedKernelTest, DefendedRatchetArcMatchesSteppedPath)
+{
     for (analog::MonitorKind monitor :
-         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
-        for (Scheme scheme : {Scheme::kNvp, Scheme::kGecko})
-            for (bool scheduled : {false, true})
-                for (FaultArm fault :
-                     {FaultArm::kNone, FaultArm::kJitWrite,
-                      FaultArm::kMonitor})
-                    for (sim::ExecBackend backend :
-                         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
-                        const KernelCase c{monitor, scheme, scheduled,
-                                           fault};
-                        const std::string name = kernelCaseName(c, backend);
-                        Obs on = runKernelCase(c, backend, 64);
-                        Obs off = runKernelCase(c, backend, 0);
-                        ASSERT_GT(on.stats.cycles, 0u) << name;
-                        EXPECT_GT(on.sleepQuanta, 0u) << name;
-                        EXPECT_EQ(off.fusedQuanta, 0u) << name;
-                        if (fault == FaultArm::kMonitor)
-                            EXPECT_EQ(on.fusedQuanta, 0u)
-                                << name << ": kernel ran past its guard";
-                        else
-                            EXPECT_GT(on.fusedQuanta, 0u)
-                                << name << ": kernel never engaged";
-                        expectSame(on, off, name);
-                    }
+         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator}) {
+        const char* name = analog::monitorKindName(monitor);
+        Obs on = runDefendedArc(monitor, 64);
+        Obs off = runDefendedArc(monitor, 0);
+        ASSERT_TRUE(on.defended) << name;
+        EXPECT_GT(on.defense.ratchetTrips, 0u) << name;
+        EXPECT_GT(on.defense.wakesDeferred, 0u) << name;
+        EXPECT_GT(on.fusedQuanta, 0u) << name;
+        EXPECT_GT(on.coalescedQuanta, 0u) << name;
+        expectSame(on, off, name);
+    }
 }
 
 }  // namespace

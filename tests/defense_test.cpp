@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "campaign/archive.hpp"
 #include "defense/controller.hpp"
+#include "exp/rng.hpp"
 
 /**
  * Unit tests of the adaptive defense controller (DESIGN.md §11): the
@@ -440,6 +444,293 @@ TEST(DefenseTest, RedoCreditGateTripsLedgerOnRedoOnlyCycles)
         ok.noteCommit(commits);
     }
     EXPECT_EQ(ok.stats().ratchetTrips, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The inline per-sample step (stepSample) against the reference
+// observeSample, from controller states built field by field through
+// the archive.
+// ---------------------------------------------------------------------
+
+/** Every archived controller field, in archiveState's order. */
+struct ArchivedState {
+    std::uint8_t mode = 0;
+    double score = 0.0;
+    bool aboveSuspicion = false;
+    std::int32_t calmRun = 0;
+    std::int32_t relapseLevel = 0;
+    std::uint64_t sinceDeescalation = ~std::uint64_t{0};
+    bool redoCommitPending = false;
+    double lastSampleT = -1.0;
+    double lastSampleV = -1.0;
+    std::int32_t backupLead = 0;
+    std::int32_t backupAge = 0;
+    std::int32_t wakeLead = 0;
+    std::int32_t wakeAge = 0;
+    std::uint32_t lastRollbackRegion = ~std::uint32_t{0};
+    std::uint64_t consecutiveRollbacks = 0;
+    std::uint64_t lastCommitCount = 0;
+    std::uint64_t commitCountAtRollback = 0;
+    bool committedSinceDegrade = false;
+    double wakeNotBefore = -1.0;
+    std::uint64_t counters[10] = {};
+    double firstEscalationT = -1.0;
+    double energyDebtJ = 0.0;
+    double peakEnergyDebtJ = 0.0;
+};
+
+void
+archiveFields(campaign::Archive& ar, ArchivedState& s)
+{
+    ar.section("defense_controller");
+    ar.u8(s.mode);
+    ar.f64(s.score);
+    ar.boolean(s.aboveSuspicion);
+    ar.i32(s.calmRun);
+    ar.i32(s.relapseLevel);
+    ar.u64(s.sinceDeescalation);
+    ar.boolean(s.redoCommitPending);
+    ar.f64(s.lastSampleT);
+    ar.f64(s.lastSampleV);
+    ar.i32(s.backupLead);
+    ar.i32(s.backupAge);
+    ar.i32(s.wakeLead);
+    ar.i32(s.wakeAge);
+    ar.u32(s.lastRollbackRegion);
+    ar.u64(s.consecutiveRollbacks);
+    ar.u64(s.lastCommitCount);
+    ar.u64(s.commitCountAtRollback);
+    ar.boolean(s.committedSinceDegrade);
+    ar.f64(s.wakeNotBefore);
+    for (std::uint64_t& c : s.counters)
+        ar.u64(c);
+    ar.f64(s.firstEscalationT);
+    ar.f64(s.energyDebtJ);
+    ar.f64(s.peakEnergyDebtJ);
+}
+
+std::vector<std::uint8_t>
+bytesOf(DefenseController& dc)
+{
+    campaign::Archive ar = campaign::Archive::saver();
+    dc.archiveState(ar);
+    return ar.takePayload();
+}
+
+ArchivedState
+stateOf(DefenseController& dc)
+{
+    campaign::Archive ar = campaign::Archive::loader(bytesOf(dc));
+    ArchivedState s;
+    archiveFields(ar, s);
+    return s;
+}
+
+void
+load(DefenseController& dc, ArchivedState s)
+{
+    campaign::Archive out = campaign::Archive::saver();
+    archiveFields(out, s);
+    campaign::Archive in = campaign::Archive::loader(out.takePayload());
+    dc.archiveState(in);
+}
+
+/** observeSample took a transition: evidence, a mode or relapse-level
+ *  change.  Evidence shows as a score off the pure decay step. */
+bool
+tookTransition(const DefenseConfig& config, const ArchivedState& before,
+               const ArchivedState& after)
+{
+    const double decayed =
+        std::max(0.0, before.score * (1.0 - config.decayPerSample));
+    return after.mode != before.mode ||
+           after.relapseLevel != before.relapseLevel ||
+           after.score != decayed;
+}
+
+/** A randomized controller state around the step's decision edges. */
+ArchivedState
+randomState(const DefenseConfig& config, exp::Rng& rng)
+{
+    ArchivedState s;
+    s.mode = static_cast<std::uint8_t>(rng.pick(4));
+    s.relapseLevel =
+        static_cast<std::int32_t>(rng.pick(config.relapseLevelCap + 1));
+    const int dwell = std::min(config.calmSamples << s.relapseLevel,
+                               1 << 20);
+    // Calm runs at, one short of and two short of the dwell, or anywhere.
+    const int calmPicks[] = {dwell - 1, dwell - 2, 0,
+                             static_cast<int>(rng.pick(dwell))};
+    s.calmRun = std::max(0, calmPicks[rng.pick(4)]);
+    // Scores whose decay step lands just either side of scoreClear, or
+    // next to scoreSuspicious / scoreAttack, or anywhere.
+    const double keep = 1.0 - config.decayPerSample;
+    const double nudge = 1.0 + (rng.uniform() - 0.5) * 1e-3;
+    const double scorePicks[] = {
+        config.scoreClear / keep * nudge, config.scoreClear * nudge,
+        config.scoreSuspicious * nudge, config.scoreAttack * nudge, 0.0,
+        rng.uniform() * config.scoreMax};
+    s.score = std::min(scorePicks[rng.pick(6)], config.scoreMax);
+    s.aboveSuspicion = rng.pick(2) != 0;
+    s.sinceDeescalation =
+        rng.pick(3) == 0 ? ~std::uint64_t{0} : rng.pick64(1000);
+    s.redoCommitPending = rng.pick(2) != 0;
+    s.committedSinceDegrade = rng.pick(2) != 0;
+    // Pending edges on either side at every age up to past the window.
+    s.backupLead = static_cast<std::int32_t>(rng.pick(3)) - 1;
+    s.backupAge = s.backupLead != 0
+                      ? static_cast<std::int32_t>(
+                            rng.pick(config.edgeSkewSamples + 2))
+                      : 0;
+    s.wakeLead = static_cast<std::int32_t>(rng.pick(3)) - 1;
+    s.wakeAge = s.wakeLead != 0 ? static_cast<std::int32_t>(
+                                      rng.pick(config.edgeSkewSamples + 2))
+                                : 0;
+    s.lastSampleT = rng.pick(8) == 0 ? -1.0 : 0.01;
+    s.lastSampleV = 2.0 + rng.uniform();
+    s.energyDebtJ = rng.pick(2) == 0 ? 0.0 : rng.uniform() * 1e-4;
+    return s;
+}
+
+TEST(DefenseTest, InlineStepMatchesObserveSampleFromRandomStates)
+{
+    DefenseConfig adaptive;
+    ASSERT_TRUE(presetByName("adaptive", &adaptive));
+    DefenseConfig strict;
+    ASSERT_TRUE(presetByName("strict", &strict));
+    DefenseConfig immediate = adaptive;
+    immediate.edgeSkewSamples = 0;
+    DefenseConfig wideSkew = strict;
+    wideSkew.edgeSkewSamples = 3;
+    exp::Rng rng(0x5a3913u);
+    int transitions = 0;
+    int inlineSteps = 0;
+    for (const DefenseConfig& config :
+         {adaptive, strict, immediate, wideSkew, fastConfig()}) {
+        for (int trial = 0; trial < 1500; ++trial) {
+            DefenseController fast(config, PlantModel{});
+            load(fast, randomState(config, rng));
+            DefenseController reference = fast;
+            double t = 0.01;
+            double v = stateOf(fast).lastSampleV;
+            for (int n = 0; n < 12; ++n) {
+                // Mostly quiet samples on a slow ramp; sometimes a lone
+                // or paired edge pulse, a tone envelope or a volt-scale
+                // jump.
+                t += 1e-5 * (1 + rng.pick(64));
+                v += (rng.uniform() - 0.5) * 2e-3;
+                double lo = v;
+                double hi = v;
+                analog::MonitorEvent primary;
+                analog::MonitorEvent shadow;
+                switch (rng.pick(10)) {
+                  case 0:
+                    primary.backup = true;
+                    break;
+                  case 1:
+                    shadow.wake = true;
+                    break;
+                  case 2:
+                    primary.wake = shadow.wake = true;
+                    break;
+                  case 3:
+                    lo = v - 0.4 * rng.uniform();
+                    hi = v + 0.4 * rng.uniform();
+                    break;
+                  case 4:
+                    lo = hi = v + (rng.pick(2) ? 1.0 : -1.0);
+                    break;
+                  default:
+                    break;
+                }
+                const ArchivedState before = stateOf(reference);
+                const std::vector<std::uint8_t> fastBefore = bytesOf(fast);
+                const bool stepped =
+                    fast.stepSample(t, lo, hi, primary, shadow);
+                reference.observeSample(t, lo, hi, primary, shadow);
+                const bool transition =
+                    tookTransition(config, before, stateOf(reference));
+                ASSERT_EQ(stepped, !transition)
+                    << "trial " << trial << " sample " << n;
+                if (stepped) {
+                    ++inlineSteps;
+                } else {
+                    ++transitions;
+                    EXPECT_EQ(bytesOf(fast), fastBefore)
+                        << "a refused step wrote state";
+                    fast.observeSample(t, lo, hi, primary, shadow);
+                }
+                ASSERT_EQ(bytesOf(fast), bytesOf(reference))
+                    << "trial " << trial << " sample " << n;
+            }
+        }
+    }
+    // Both outcomes are exercised in bulk.
+    EXPECT_GT(transitions, 5000);
+    EXPECT_GT(inlineSteps, 20000);
+}
+
+TEST(DefenseTest, InlineQuietStepsMatchObserveSample)
+{
+    // N quiet samples from states next to every decision edge: the
+    // inline step covers each one observeSample takes without a
+    // transition, and the two leave identical archived bytes.
+    DefenseConfig config;
+    ASSERT_TRUE(presetByName("adaptive", &config));
+    exp::Rng rng(0xca1du);
+    int covered = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        DefenseController fast(config, PlantModel{});
+        load(fast, randomState(config, rng));
+        DefenseController reference = fast;
+        double t = 0.01;
+        const double v = stateOf(fast).lastSampleV;
+        const analog::MonitorEvent quiet;
+        for (int n = 0; n < 40; ++n) {
+            t += 64e-5;
+            const bool stepped = fast.stepSample(t, v, v, quiet, quiet);
+            if (!stepped)
+                fast.observeSample(t, v, v, quiet, quiet);
+            reference.observeSample(t, v, v, quiet, quiet);
+            covered += stepped ? 1 : 0;
+        }
+        ASSERT_EQ(bytesOf(fast), bytesOf(reference)) << "trial " << trial;
+    }
+    EXPECT_GT(covered, 3000 * 40 / 2);
+}
+
+TEST(DefenseTest, CommitNotesGroupExactlyWithoutDebtOutsideDegraded)
+{
+    // One noteCommit after a fused machine run stands for the per-
+    // quantum calls it replaces whenever commitsGroup() holds.
+    DefenseConfig config;
+    ASSERT_TRUE(presetByName("adaptive", &config));
+    exp::Rng rng(0xc0417u);
+    for (int trial = 0; trial < 2000; ++trial) {
+        ArchivedState s = randomState(config, rng);
+        s.mode = static_cast<std::uint8_t>(rng.pick(3));
+        s.energyDebtJ = 0.0;
+        s.lastCommitCount = rng.pick(100);
+        DefenseController grouped(config, PlantModel{});
+        load(grouped, s);
+        ASSERT_TRUE(grouped.commitsGroup());
+        DefenseController perQuantum = grouped;
+        std::uint64_t count = s.lastCommitCount;
+        for (int q = 0; q < 8; ++q) {
+            count += rng.pick(3);
+            perQuantum.noteCommit(count);
+        }
+        grouped.noteCommit(count);
+        ASSERT_EQ(bytesOf(grouped), bytesOf(perQuantum))
+            << "trial " << trial;
+    }
+    // Outstanding debt or kDegraded: the guard refuses.
+    DefenseController dc(config, PlantModel{});
+    dc.noteEnergyCost(0.0, 1e-9);
+    EXPECT_FALSE(dc.commitsGroup());
+    DefenseController degraded(config, PlantModel{});
+    degraded.noteRetriesExhausted(0.0);
+    EXPECT_FALSE(degraded.commitsGroup());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":8,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":9,", 0), 0u) << json;
     JsonValue root;
     ASSERT_TRUE(parseJson(json, &root)) << json;
     std::uint64_t u = 0;
@@ -40,6 +40,11 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     EXPECT_EQ(u, 7u);
     EXPECT_TRUE(root.at("sleep_quanta", &u));
     EXPECT_EQ(u, 5u);
+    // Version-9 fused-kernel counter sits next to the coalesced one.
+    report.fusedQuanta = 3;
+    ASSERT_TRUE(parseJson(report.toJson(), &root));
+    EXPECT_TRUE(root.at("fused_quanta", &u));
+    EXPECT_EQ(u, 3u);
     // trace_out only appears when a trace was written.
     EXPECT_EQ(json.find("trace_out"), std::string::npos);
     report.traceOut = "out/trace.jsonl";
