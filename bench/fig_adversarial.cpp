@@ -150,6 +150,7 @@ main(int argc, char** argv)
             bench::writeBenchReport("fig_adversarial", "interrupted");
             return bench::stopSignal().load() != 0 ? 3 : 4;
         }
+        bench::noteSimCycles(rep.simCycles);
         rows.push_back(rep);
     }
 

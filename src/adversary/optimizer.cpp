@@ -102,15 +102,19 @@ spaceFor(const SearchConfig& config,
     return space;
 }
 
-/** Fold a completed round directory's results.jsonl into group totals. */
+/** Fold a completed round directory's results.jsonl into group totals,
+ *  adding every job's simulated cycles to `simCycles`. */
 std::map<std::string, campaign::GroupTotals>
-foldResults(const std::string& dir, std::uint64_t totalJobs)
+foldResults(const std::string& dir, std::uint64_t totalJobs,
+            std::uint64_t& simCycles)
 {
     campaign::Aggregator agg(totalJobs);
     const auto fold = [&](const metrics::JsonValue& v) {
         auto r = campaign::JobResult::fromJson(v);
-        if (r)
+        if (r) {
             agg.add(*r);
+            simCycles += r->cycles;
+        }
         return r.has_value();
     };
     metrics::readJsonl(dir + "/results.jsonl", fold);
@@ -207,7 +211,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
             return out;  // cooperative stop; resume later
         }
 
-        const auto groups = foldResults(dir, space.jobCount());
+        const auto groups =
+            foldResults(dir, space.jobCount(), out.simCycles);
         const auto cleanIt = groups.find(groupKeyFor(
             config, campaign::scenarioName(campaign::ScenarioKind::kClean)));
         if (cleanIt == groups.end())
@@ -278,7 +283,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         out.best = {st.best, st.bestScore};
         return out;
     }
-    const auto groups = foldResults(evalDir, evalSpace.jobCount());
+    const auto groups =
+        foldResults(evalDir, evalSpace.jobCount(), out.simCycles);
     const auto cleanIt = groups.find(groupKeyFor(
         config, campaign::scenarioName(campaign::ScenarioKind::kClean)));
     const auto bestIt = groups.find(groupKeyFor(config, bestName));

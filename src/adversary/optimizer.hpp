@@ -85,6 +85,9 @@ struct SearchReport {
     campaign::GroupTotals cleanTotals;
     /// Best-attack totals from the standalone best evaluation.
     campaign::GroupTotals bestTotals;
+    /// Simulated machine cycles of every job this call folded (its
+    /// rounds and the best evaluation), from their journaled results.
+    std::uint64_t simCycles = 0;
 };
 
 /**

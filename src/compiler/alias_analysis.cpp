@@ -82,8 +82,13 @@ AliasAnalysis::build(const Program& prog, const Cfg& cfg,
     aa.in_.resize(n);
     if (n == 0)
         return aa;
-
     const std::size_t nb = cfg.numBlocks();
+    if (nb == 0) {
+        // A CFG without blocks resolves nothing: every register stays
+        // unvisited and no address is provably unwritten.
+        aa.hasUnknownStore_ = true;
+        return aa;
+    }
     std::vector<RegLattice> block_in(nb), block_out(nb);
 
     // Entry registers carry unknown values.

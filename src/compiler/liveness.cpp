@@ -103,10 +103,9 @@ ReachingDefs::build(const Program& prog, const Cfg& cfg)
     ReachingDefs rd;
     const std::size_t n = prog.size();
     rd.in_.resize(n);
-    if (n == 0)
-        return rd;
-
     const std::size_t nb = cfg.numBlocks();
+    if (n == 0 || nb == 0)
+        return rd;
 
     using RegDefs = std::array<std::vector<std::int32_t>, ir::kNumRegs>;
     auto merge_into = [](RegDefs& dst, const RegDefs& src) {

@@ -160,40 +160,6 @@ DefenseController::addEvidence(double t, double weight,
         escalateTo(t, Mode::kSuspicious);
 }
 
-int
-DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
-                             bool shadowPulse)
-{
-    if (primaryPulse && shadowPulse) {
-        // Simultaneous agreement; nothing pending can be forged skew.
-        pending = PendingEdge{};
-        return 0;
-    }
-    if (primaryPulse != shadowPulse) {
-        const int lead = primaryPulse ? 1 : -1;
-        if (pending.lead == -lead) {
-            // The other monitor confirmed the earlier pulse: benign
-            // sampling skew at a real crossing, not evidence.
-            ++stats_.edgeSkews;
-            pending = PendingEdge{};
-            return 0;
-        }
-        // Same-side repeat (sustained forged trough): the previous
-        // pulse is now unconfirmable — charge it and re-arm.
-        const int matured = pending.lead == lead ? 1 : 0;
-        pending.lead = lead;
-        pending.age = 0;
-        return matured;
-    }
-    // Quiet sample: age the window; an unmatched pulse matures into a
-    // disagreement charge once the skew grace is exhausted.
-    if (pending.lead != 0 && ++pending.age > config_.edgeSkewSamples) {
-        pending = PendingEdge{};
-        return 1;
-    }
-    return 0;
-}
-
 void
 DefenseController::decayAndMaybeDeescalate(double t)
 {
@@ -266,8 +232,9 @@ DefenseController::observeSample(double t, double vLo, double vHi,
         // forgery.  Unmatched pulses still mature into the full
         // disagreement weight when the window closes.
         int charges = trackEdge(pendingBackup_, primary.backup,
-                                shadow.backup) +
-                      trackEdge(pendingWake_, primary.wake, shadow.wake);
+                                shadow.backup, stats_.edgeSkews) +
+                      trackEdge(pendingWake_, primary.wake, shadow.wake,
+                                stats_.edgeSkews);
         for (int i = 0; i < charges; ++i)
             addEvidence(t, config_.disagreeWeight,
                         evidence | kEvidenceDisagree);

@@ -56,14 +56,17 @@ class DefenseController
 
     /**
      * The inline per-sample step of observeSample: the sample counters,
-     * the stepped score decay, the calm run, the edge-skew windows and
-     * the last-sample record.  Applies the sample and returns true when
-     * observeSample would take no transition on it.  Otherwise returns
-     * false and leaves every field untouched; the caller then hands the
-     * sample to observeSample.  A transition is physics or
-     * disagreement evidence (including a matured edge), a relapse-level
-     * change or a de-escalation.  The simulator's quantum fast paths
-     * step the controller through this (DESIGN.md §14).
+     * the stepped score decay, the calm run, the edge-skew windows, the
+     * evidence charges and the last-sample record.  Applies the sample
+     * and returns true when observeSample would take no transition on
+     * it.  Otherwise returns false and leaves every field untouched;
+     * the caller then hands the sample to observeSample.  A transition
+     * is an escalation, a crossing that sets the anomaly latch, a
+     * relapse-level change or a de-escalation.  Physics, disagreement
+     * and matured-edge evidence that only feeds a score the mode
+     * already answers (a saturated score under a sustained tone) is
+     * stepped here.  The simulator's quantum fast paths step the
+     * controller through this (DESIGN.md §14).
      */
     bool stepSample(double t, double vLo, double vHi,
                     const analog::MonitorEvent& primary,
@@ -156,14 +159,11 @@ class DefenseController
         int lead = 0;
         int age = 0;
     };
-    /// Track one edge kind (backup or wake) through the skew window;
-    /// returns the number of disagreement charges that matured.
-    int trackEdge(PendingEdge& pending, bool primaryPulse,
-                  bool shadowPulse);
-    /// trackEdge without the charge: false if a charge would mature,
-    /// else updates `pending` and counts a reconciled skew in `skews`.
-    bool stepEdge(PendingEdge& pending, bool primaryPulse,
-                  bool shadowPulse, std::uint64_t& skews) const;
+    /// Track one edge kind (backup or wake) through the skew window,
+    /// counting a reconciled skew in `skews`; returns the number of
+    /// disagreement charges that matured.
+    int trackEdge(PendingEdge& pending, bool primaryPulse, bool shadowPulse,
+                  std::uint64_t& skews) const;
     void escalateTo(double t, Mode target);
     void setMode(double t, Mode next);
     void tripRatchet(double t, std::uint32_t regionId,
@@ -210,28 +210,38 @@ class DefenseController
     DefenseStats stats_;
 };
 
-inline bool
-DefenseController::stepEdge(PendingEdge& pending, bool primaryPulse,
-                            bool shadowPulse, std::uint64_t& skews) const
+inline int
+DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
+                             bool shadowPulse, std::uint64_t& skews) const
 {
     if (primaryPulse && shadowPulse) {
+        // Simultaneous agreement; nothing pending can be forged skew.
         pending = PendingEdge{};
-        return true;
+        return 0;
     }
     if (primaryPulse != shadowPulse) {
         const int lead = primaryPulse ? 1 : -1;
-        if (pending.lead == lead)
-            return false;
         if (pending.lead == -lead) {
+            // The other monitor confirmed the earlier pulse: benign
+            // sampling skew at a real crossing, not evidence.
             ++skews;
             pending = PendingEdge{};
-        } else {
-            pending.lead = lead;
-            pending.age = 0;
+            return 0;
         }
-        return true;
+        // Same-side repeat (sustained forged trough): the previous
+        // pulse is now unconfirmable — charge it and re-arm.
+        const int matured = pending.lead == lead ? 1 : 0;
+        pending.lead = lead;
+        pending.age = 0;
+        return matured;
     }
-    return pending.lead == 0 || ++pending.age <= config_.edgeSkewSamples;
+    // Quiet sample: age the window; an unmatched pulse matures into a
+    // disagreement charge once the skew grace is exhausted.
+    if (pending.lead != 0 && ++pending.age > config_.edgeSkewSamples) {
+        pending = PendingEdge{};
+        return 1;
+    }
+    return 0;
 }
 
 inline bool
@@ -242,28 +252,27 @@ DefenseController::stepSample(double t, double vLo, double vHi,
     // observeSample's order, deciding every transition before any
     // field is written.
     const double mid = 0.5 * (vLo + vHi);
+    bool physics = false;
     if (lastSampleT_ >= 0.0 && t > lastSampleT_) {
         const double bound =
             (t - lastSampleT_) * maxSlewVps_ + config_.physicsMarginV;
-        if ((vHi - vLo) > bound || std::abs(mid - lastSampleV_) > bound)
-            return false;
+        physics = (vHi - vLo) > bound || std::abs(mid - lastSampleV_) > bound;
     }
     const bool disagree =
         primary.backup != shadow.backup || primary.wake != shadow.wake;
     PendingEdge backup = pendingBackup_;
     PendingEdge wake = pendingWake_;
     std::uint64_t skews = 0;
-    if (config_.edgeSkewSamples <= 0) {
-        if (disagree)
-            return false;
-    } else if (!stepEdge(backup, primary.backup, shadow.backup, skews) ||
-               !stepEdge(wake, primary.wake, shadow.wake, skews)) {
-        return false;
-    }
+    int charges = 0;
+    if (config_.edgeSkewSamples <= 0)
+        charges = disagree ? 1 : 0;
+    else
+        charges = trackEdge(backup, primary.backup, shadow.backup, skews) +
+                  trackEdge(wake, primary.wake, shadow.wake, skews);
 
     // decayAndMaybeDeescalate, stepped exactly as it is there.
-    const double score =
-        std::max(0.0, score_ * (1.0 - config_.decayPerSample));
+    double score = std::max(0.0, score_ * (1.0 - config_.decayPerSample));
+    const bool latched = aboveSuspicion_ && !(score < config_.scoreClear);
     int calm = calmRun_;
     if (score > config_.scoreClear) {
         calm = 0;
@@ -276,15 +285,35 @@ DefenseController::stepSample(double t, double vLo, double vHi,
         calm = 0;
     }
 
+    // addEvidence per charge, physics first: refused where it would set
+    // the anomaly latch or escalate past the current mode.
+    const auto charge = [&](double weight) {
+        score = std::min(score + weight, config_.scoreMax);
+        if (score >= config_.scoreAttack)
+            return Mode::kUnderAttack <= mode_ &&
+                   (latched || score < config_.scoreSuspicious);
+        if (score >= config_.scoreSuspicious)
+            return latched && Mode::kSuspicious <= mode_;
+        return true;
+    };
+    if (physics && !charge(config_.physicsWeight))
+        return false;
+    for (int i = 0; i < charges; ++i)
+        if (!charge(config_.disagreeWeight))
+            return false;
+    if (physics || charges > 0)
+        calm = 0;
+
     ++stats_.samples;
     if (sinceDeescalation_ != ~std::uint64_t{0})
         ++sinceDeescalation_;
+    if (physics)
+        ++stats_.physicsViolations;
     if (disagree)
         ++stats_.disagreements;
     stats_.edgeSkews += skews;
     score_ = score;
-    if (score_ < config_.scoreClear)
-        aboveSuspicion_ = false;
+    aboveSuspicion_ = latched;
     calmRun_ = calm;
     pendingBackup_ = backup;
     pendingWake_ = wake;

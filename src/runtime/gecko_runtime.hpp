@@ -125,6 +125,15 @@ class GeckoRuntime
      */
     bool probeArmed() const { return probeArmed_; }
 
+    /**
+     * Whether a backup signal was reported since the last boot.  Once
+     * set, a concluding probe only disarms itself and cannot re-enable
+     * JIT, so one `onProgress` after a fused machine run stands for the
+     * per-quantum ones even while the probe is armed — the other leg
+     * of the fused kernel's machine-deferral guard (DESIGN.md §14.1).
+     */
+    bool sawBackupSinceBoot() const { return sawBackupSinceBoot_; }
+
     /** Extra CTPL SRAM-snapshot words included in JIT restore cost. */
     void setJitRamWords(int words) { jitRamWords_ = words; }
 

@@ -67,8 +67,10 @@ struct NoDefense {
     void adopt(const NoDefense&) const {}
     bool quietSample(double, double) const { return true; }
     bool shadowQuiet(double, double) const { return true; }
-    void attackedSample(double, double, double,
-                        const analog::MonitorEvent&) const
+    bool commitsGroup() const { return true; }
+    template <class Settle>
+    void attackedSample(double, double, double, const analog::MonitorEvent&,
+                        Settle&&) const
     {
     }
 };
@@ -105,15 +107,23 @@ struct Defense {
         return shadow.quietRange(lo, hi);
     }
 
+    bool commitsGroup() const { return controller.commitsGroup(); }
+
     /// feedDefense for an attacked sample with tone envelope [lo, hi]:
     /// the shadow's view, then the controller's inline step, or
-    /// observeSample for a sample that takes a transition.
+    /// observeSample for a sample that takes a transition.  `settle`
+    /// runs a deferred machine budget first, so a transition sees the
+    /// stepped path's order: machine, then observation.
+    template <class Settle>
     void attackedSample(double t, double lo, double hi,
-                        const analog::MonitorEvent& primary) const
+                        const analog::MonitorEvent& primary,
+                        Settle&& settle) const
     {
         const analog::MonitorEvent seen = shadowView(shadow, lo, hi);
-        if (!controller.stepSample(t, lo, hi, primary, seen))
+        if (!controller.stepSample(t, lo, hi, primary, seen)) {
+            settle();
             controller.observeSample(t, lo, hi, primary, seen);
+        }
     }
 };
 
@@ -696,6 +706,7 @@ IntermittentSim::coalescedRun(Policy defense, int stride, double dt,
     double carry = 0.0;
     double t = 0.0;
     std::uint64_t fusedPlanned = 0;
+    std::uint64_t lastPlanned = 0;
     auto probe = defense.probe();
     for (int mTry = m;;) {
         k = 0;
@@ -734,6 +745,7 @@ IntermittentSim::coalescedRun(Policy defense, int stride, double dt,
             carry = nextCarry;
             t = nextT;
             fusedPlanned += planned;
+            lastPlanned = planned;
             vLo = k == 0 ? v : std::min(vLo, v);
             vHi = k == 0 ? v : std::max(vHi, v);
             ++k;
@@ -776,31 +788,42 @@ IntermittentSim::coalescedRun(Policy defense, int stride, double dt,
     stats.coalescedQuanta += static_cast<std::uint64_t>(k);
     ++stats.coalescedBursts;
 
-    // One fused run.  Sequential quanta stop the machine at cumulative
-    // instruction boundaries ≥ Σplanned − debt₀, which is exactly where
-    // a single budget of that size stops it; a halt or latched fault
-    // that exits early is topped up with burn-budget runs, as the
-    // skipped quanta would have done one by one.  The one onProgress
-    // (one noteCommit) stands for the per-quantum ones: the caller's
-    // commitsGroup guard makes the grouping exact.
-    std::int64_t b = static_cast<std::int64_t>(fusedPlanned) - debt_;
-    std::uint64_t consumedTotal = 0;
-    if (b > 0) {
-        const std::uint64_t target = static_cast<std::uint64_t>(b);
-        for (int i = 0; i < 4 && consumedTotal < target; ++i) {
-            std::uint64_t c = 0;
-            machine_.run(target - consumedTotal, &c);
-            consumedTotal += c;
-            if (c == 0)
-                break;
-        }
-        if (consumedTotal > 0)
-            runtime_.noteExecutionSinceCheckpoint();
-        runtime_.onProgress();
-    }
-    debt_ += static_cast<std::int64_t>(consumedTotal) -
-             static_cast<std::int64_t>(fusedPlanned);
+    // One fused machine run for the burst's summed budget; the one
+    // onProgress (one noteCommit) stands for the per-quantum ones: the
+    // caller's commitsGroup guard makes the grouping exact.
+    const std::int64_t lastStart =
+        static_cast<std::int64_t>(fusedPlanned - lastPlanned) - debt_;
+    debt_ -= static_cast<std::int64_t>(fusedPlanned);
+    runOwedMachine(lastStart);
     return true;
+}
+
+void
+IntermittentSim::runOwedMachine(std::int64_t lastStart)
+{
+    // Sequential quanta stop the machine at cumulative instruction
+    // boundaries ≥ Σplanned − debt₀, which is exactly where a single
+    // budget of that size stops it.  A halt or latched fault ends a run
+    // early; the quanta after the one it fell in each burn their whole
+    // budget, the quantum it fell in burns nothing more.  So the run
+    // stops once where the last quantum starts: an early end before
+    // that point is burnt to the full budget by the second run, one
+    // after it is the last quantum's own and stays.
+    if (debt_ >= 0)
+        return;
+    const std::uint64_t owed = static_cast<std::uint64_t>(-debt_);
+    std::uint64_t consumed = 0;
+    if (lastStart > 0)
+        machine_.run(static_cast<std::uint64_t>(lastStart), &consumed);
+    if (consumed < owed) {
+        std::uint64_t c = 0;
+        machine_.run(owed - consumed, &c);
+        consumed += c;
+    }
+    if (consumed > 0)
+        runtime_.noteExecutionSinceCheckpoint();
+    runtime_.onProgress();
+    debt_ += static_cast<std::int64_t>(consumed);
 }
 
 bool
@@ -868,18 +891,43 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
     const double sleepJ = device_.power.sleepPowerW * dt;
     const double amplitude = emi_->amplitude();
     bool advanced = false;
+    // Deferred machine budget: `owing` while debt_ holds running quanta
+    // whose machine run has not happened yet; `lastStart` is the owed
+    // budget up to the start of the last of them (runOwedMachine).  The
+    // first quantum of the call has no stepped predecessor to split at.
+    bool owing = false;
+    std::int64_t lastStart = 0;
+    bool first = true;
+    const auto settle = [&] {
+        if (owing) {
+            runOwedMachine(lastStart);
+            owing = false;
+        }
+    };
     while (now_ < stopAt && now_ < span.until) {
         if (running) {
             // stepRunning's budget on copies: hand the quantum back
-            // untouched if the machine must run or the buffer cannot
-            // pay for it (brown-out).
+            // untouched if the buffer cannot pay for it (brown-out), or
+            // if the machine must run and its run cannot wait.
             double carry = cycleCarry_ + cyclesPerQuantum;
             const std::uint64_t planned =
                 carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
             carry -= static_cast<double>(planned);
-            if (static_cast<std::int64_t>(planned) > debt_ ||
-                planned > cap_.affordableCycles(epc_, energyAtVoff_))
+            if (planned > cap_.affordableCycles(epc_, energyAtVoff_))
                 break;
+            if (static_cast<std::int64_t>(planned) > debt_) {
+                // The run may wait while every per-quantum onProgress
+                // equals one grouped call: the controller's commit
+                // notes group, and a concluding probe cannot re-enable
+                // JIT (disarmed, or a backup already seen).
+                if (!defense.commitsGroup() ||
+                    (runtime_.probeArmed() &&
+                     !runtime_.sawBackupSinceBoot()))
+                    break;
+                owing = true;
+            }
+            lastStart = first ? 0 : -debt_;
+            first = false;
             cycleCarry_ = carry;
             debt_ -= static_cast<std::int64_t>(planned);
             cap_.quietStep(static_cast<double>(planned) * epc_, span.plan);
@@ -900,17 +948,19 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
 
         // observeMonitor's attacked branch for this monitor type, then
         // feedDefense's.  A sample that takes a controller transition
-        // goes to observeSample right here, as in the stepped path; the
-        // kernel runs no machine and reads every mode-dependent policy
-        // live below (jitActive at a backup, wakeAllowed at a wake), so
-        // it goes on after one.
+        // goes to observeSample right here, after the deferred machine
+        // run, as in the stepped path; the kernel reads every
+        // mode-dependent policy live below (jitActive at a backup,
+        // wakeAllowed at a wake, the deferral guard at the next
+        // quantum), so it goes on after one.
         const double v = cap_.voltage();
         analog::MonitorEvent ev;
         if constexpr (std::is_same_v<Monitor, analog::ComparatorMonitor>)
             ev = monitor.observeEnvelope(v - amplitude, v + amplitude);
         else
             ev = monitor.observe(v + emiAt(now_));
-        defense.attackedSample(now_, v - amplitude, v + amplitude, ev);
+        defense.attackedSample(now_, v - amplitude, v + amplitude, ev,
+                               settle);
 
         if (!running) {
             // Every wake goes through onSleepingWake, as in the stepped
@@ -927,6 +977,7 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
         }
         if (ev.backup) {
             if (runtime_.jitActive()) {
+                settle();
                 onRunningEvents(ev);  // checkpoints
                 return true;
             }
@@ -937,6 +988,7 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
         if (ev.wake)
             ++stats.wakeSignals;
     }
+    settle();
     return advanced;
 }
 

@@ -273,18 +273,31 @@ class IntermittentSim
     bool coalescedRun(Policy defense, int stride, double dt, double end);
     /**
      * Fused EMI-active kernel (DESIGN.md §14.1): steps attacked quanta,
-     * running and sleeping, in one loop until the machine must run, a
-     * brown-out looms, a backup arms the JIT checkpoint, a wake boots,
-     * or `stopAt` / the span's end is reached.  `Policy` is the static
-     * per-sample defense policy, as for coalescedRun.  @return true if
-     * it advanced the simulation; false leaves the quantum to the
-     * stepped path.
+     * running and sleeping, in one loop until a brown-out looms, a
+     * backup arms the JIT checkpoint, a wake boots, the machine must
+     * run where its run cannot be deferred, or `stopAt` / the span's
+     * end is reached.  A deferred machine budget is run before any of
+     * those exits and before a controller transition.  `Policy` is the
+     * static per-sample defense policy, as for coalescedRun.  @return
+     * true if it advanced the simulation; false leaves the quantum to
+     * the stepped path.
      */
     bool fusedRun(FusedSpan& span, double stopAt);
     bool proveFusedSpan(FusedSpan& span);
     template <class Monitor, class Policy>
     bool fusedQuanta(Monitor& monitor, Policy defense,
                      const FusedSpan& span, double stopAt);
+    /**
+     * The machine run of a stretch of running quanta whose clock
+     * budgets were already debited from debt_ (coalescing and the
+     * fused kernel's deferral): runs the machine for the owed -debt_
+     * cycles, if any, then makes the stretch's one
+     * noteExecutionSinceCheckpoint and onProgress.  `lastStart` is the
+     * owed budget up to the start of the stretch's last quantum (≤ 0
+     * when it has only one): a halt or latched fault before it burns
+     * the rest, as the later quanta would, one inside it does not.
+     */
+    void runOwedMachine(std::int64_t lastStart);
     /// Backup/wake bookkeeping after a running quantum's observation.
     void onRunningEvents(const analog::MonitorEvent& ev);
     /// A wake observed while sleeping: boots unless the brown-out

@@ -90,6 +90,10 @@ struct Obs {
     /// A defense controller was attached, and its counters.
     bool defended = false;
     defense::DefenseStats defense;
+    /// Re-enable probe outcomes: JIT disabled by boot detection, and
+    /// re-enabled by a probe that saw no backup.
+    std::uint64_t attackDetections = 0;
+    std::uint64_t jitReenables = 0;
     /// IntermittentSim::archiveState bytes (controller state included).
     std::vector<std::uint8_t> snapshot;
     /// All SimStats counters that must not depend on coalescing.
@@ -118,6 +122,8 @@ capture(sim::IntermittentSim& simulation, sim::IoHub& io)
         o.defended = true;
         o.defense = dc->stats();
     }
+    o.attackDetections = simulation.geckoRuntime().stats.attackDetections;
+    o.jitReenables = simulation.geckoRuntime().stats.jitReenables;
     campaign::Archive ar = campaign::Archive::saver();
     simulation.archiveState(ar);
     o.snapshot = ar.takePayload();
@@ -639,6 +645,75 @@ runKernelCase(const KernelCase& c, sim::ExecBackend backend,
     return capture(simulation, io);
 }
 
+// The machine-bound arm: a compute workload, so nearly every running
+// quantum must run the machine and the kernel defers its budget
+// (DESIGN.md §14.1).  The tone disables JIT by boot detection and arms
+// the re-enable probe; its backups (spurious or real) mark the probe's
+// power cycle as attacked.  The weak window trips backups only near the
+// threshold, so a probe there can conclude with none seen and re-enable
+// JIT before the next backup reads jitActive — through the deferral
+// guard's other arm.  Supplies: the campaign's stiff constant source,
+// duty-cycled outages, and a weak source the running core drains
+// through V_backup to a brown-out every power cycle.
+enum class Supply { kCampaign, kOutages, kWeak };
+
+struct MachineBoundCase {
+    analog::MonitorKind monitor;
+    Supply supply;
+    bool weakWindow;
+    const char* defense;
+};
+
+std::string
+machineBoundName(const MachineBoundCase& c, sim::ExecBackend backend)
+{
+    static const char* const kSupplies[] = {"campaign", "outages", "weak"};
+    return std::string("crc16/") + analog::monitorKindName(c.monitor) +
+           "/" + kSupplies[static_cast<int>(c.supply)] + "/" +
+           (c.weakWindow ? "weak-window" : "tone") + "/" + c.defense + "/" +
+           sim::execBackendName(backend);
+}
+
+Obs
+runMachineBoundCase(const MachineBoundCase& c, sim::ExecBackend backend,
+                    int coalesceQuanta)
+{
+    static const CompiledProgram compiled =
+        compiler::compile(workloads::build("crc16"), Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.monitorKind = c.monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.cap.initialV = 3.3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(c.defense);
+
+    sim::IoHub io;
+    workloads::setupIo("crc16", io);
+    energy::ConstantHarvester campaign(3.3, 5.0);
+    energy::SquareWaveHarvester outages(3.3, 5.0, 0.004, 0.005);
+    energy::ConstantHarvester weak(3.3, 300.0);
+    energy::Harvester* const supplies[] = {&campaign, &outages, &weak};
+    sim::IntermittentSim simulation(
+        compiled, dev, cfg, *supplies[static_cast<int>(c.supply)], io);
+    simulation.machine().setExecBackend(backend);
+    const double freqHz =
+        c.monitor == analog::MonitorKind::kAdc ? 27e6 : 5e6;
+    attack::RemoteRig rig(dev, c.monitor, 0.5);
+    attack::EmiSource source(rig, freqHz, 35.0);
+    attack::AttackSchedule schedule({{0.0, 0.006, freqHz, 35.0},
+                                     {0.006, 0.016, freqHz, 10.0},
+                                     {0.016, 0.03, freqHz, 35.0}});
+    simulation.setEmiSource(&source);
+    if (c.weakWindow)
+        simulation.setAttackSchedule(&schedule);
+    simulation.run(0.03);
+    return capture(simulation, io);
+}
+
 TEST(FusedKernelTest, EmiActiveMatrixMatchesSteppedPath)
 {
     for (const char* defense : {"static", "adaptive", "strict"})
@@ -673,6 +748,32 @@ TEST(FusedKernelTest, EmiActiveMatrixMatchesSteppedPath)
                                     << name << ": kernel never engaged";
                             expectSame(on, off, name);
                         }
+
+    std::uint64_t detections = 0;
+    std::uint64_t reenables = 0;
+    for (const char* defense : {"static", "adaptive"})
+        for (analog::MonitorKind monitor :
+             {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+            for (Supply supply :
+                 {Supply::kCampaign, Supply::kOutages, Supply::kWeak})
+                for (bool weakWindow : {false, true})
+                    for (sim::ExecBackend backend :
+                         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+                        const MachineBoundCase c{monitor, supply, weakWindow,
+                                                 defense};
+                        const std::string name = machineBoundName(c, backend);
+                        Obs on = runMachineBoundCase(c, backend, 64);
+                        Obs off = runMachineBoundCase(c, backend, 0);
+                        ASSERT_GT(on.stats.cycles, 0u) << name;
+                        EXPECT_GT(on.fusedQuanta * 2, on.quanta)
+                            << name << ": kernel left the machine stepped";
+                        EXPECT_EQ(off.fusedQuanta, 0u) << name;
+                        detections += on.attackDetections;
+                        reenables += on.jitReenables;
+                        expectSame(on, off, name);
+                    }
+    EXPECT_GT(detections, 0u) << "no arm disabled JIT by detection";
+    EXPECT_GT(reenables, 0u) << "no probe concluded without a backup";
 }
 
 // ---------------------------------------------------------------------

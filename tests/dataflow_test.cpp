@@ -193,5 +193,24 @@ TEST(AliasTest, UnknownStorePoisonsReadOnly)
     EXPECT_FALSE(aa.isReadOnlyLoad(3));
 }
 
+TEST(AliasTest, ZeroBlockCfgResolvesNothing)
+{
+    // The CFG of an empty program has no blocks and no entry block; the
+    // analyses must not index one, and must answer conservatively.
+    ProgramBuilder b("t");
+    b.movi(1, 100).store(1, 0, 2).load(3, 1, 4).halt();
+    Program p = b.take();
+    const Cfg empty = Cfg::build(Program{});
+    ASSERT_EQ(empty.numBlocks(), 0u);
+    ReachingDefs rd = ReachingDefs::build(p, empty);
+    AliasAnalysis aa = AliasAnalysis::build(p, empty, rd);
+
+    for (std::size_t i = 0; i < p.size(); ++i)
+        EXPECT_EQ(aa.regAt(i, 1).kind, ConstVal::Kind::kTop) << i;
+    EXPECT_FALSE(aa.constAddr(1).has_value());
+    EXPECT_FALSE(aa.isReadOnlyAddr(104));
+    EXPECT_FALSE(aa.isReadOnlyLoad(2));
+}
+
 }  // namespace
 }  // namespace gecko::compiler

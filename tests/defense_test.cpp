@@ -535,17 +535,27 @@ load(DefenseController& dc, ArchivedState s)
     dc.archiveState(in);
 }
 
-/** observeSample took a transition: evidence, a mode or relapse-level
- *  change.  Evidence shows as a score off the pure decay step. */
+/** Index of DefenseStats::anomalies among the archived counters. */
+constexpr int kAnomalies = 1;
+
+/** observeSample took a transition: a mode or relapse-level change, or
+ *  an evidence charge that set the anomaly latch (counted once). */
 bool
-tookTransition(const DefenseConfig& config, const ArchivedState& before,
-               const ArchivedState& after)
+tookTransition(const ArchivedState& before, const ArchivedState& after)
+{
+    return after.mode != before.mode ||
+           after.relapseLevel != before.relapseLevel ||
+           after.counters[kAnomalies] != before.counters[kAnomalies];
+}
+
+/** observeSample charged evidence: the score is off the pure decay step. */
+bool
+chargedEvidence(const DefenseConfig& config, const ArchivedState& before,
+                const ArchivedState& after)
 {
     const double decayed =
         std::max(0.0, before.score * (1.0 - config.decayPerSample));
-    return after.mode != before.mode ||
-           after.relapseLevel != before.relapseLevel ||
-           after.score != decayed;
+    return after.score != decayed;
 }
 
 /** A randomized controller state around the step's decision edges. */
@@ -592,6 +602,40 @@ randomState(const DefenseConfig& config, exp::Rng& rng)
     return s;
 }
 
+/**
+ * A state a sustained tone leaves behind: escalated with the anomaly
+ * latch set and the score at or near scoreMax, where every evidence
+ * charge only re-saturates it.  One pick in three sits one evidence
+ * step (either weight) below scoreSuspicious or scoreAttack, so the
+ * next charge crosses it and must still be refused.
+ */
+ArchivedState
+saturatedState(const DefenseConfig& config, exp::Rng& rng)
+{
+    ArchivedState s = randomState(config, rng);
+    const std::uint8_t modes[] = {
+        static_cast<std::uint8_t>(Mode::kUnderAttack),
+        static_cast<std::uint8_t>(Mode::kDegraded),
+        static_cast<std::uint8_t>(Mode::kSuspicious)};
+    s.mode = modes[rng.pick(3)];
+    s.aboveSuspicion = rng.pick(4) != 0;
+    const double keep = 1.0 - config.decayPerSample;
+    const double weight =
+        rng.pick(2) ? config.physicsWeight : config.disagreeWeight;
+    const double threshold =
+        rng.pick(2) ? config.scoreSuspicious : config.scoreAttack;
+    const double nudge = 1.0 + (rng.uniform() - 0.5) * 1e-3;
+    const double scorePicks[] = {
+        config.scoreMax, config.scoreMax * (1.0 - 1e-3 * rng.uniform()),
+        config.scoreMax - weight * rng.uniform(),
+        (threshold - weight) / keep * nudge};
+    s.score = std::max(0.0, std::min(scorePicks[rng.pick(4)],
+                                     config.scoreMax));
+    if (s.score >= config.scoreSuspicious)
+        s.calmRun = 0;
+    return s;
+}
+
 TEST(DefenseTest, InlineStepMatchesObserveSampleFromRandomStates)
 {
     DefenseConfig adaptive;
@@ -605,11 +649,14 @@ TEST(DefenseTest, InlineStepMatchesObserveSampleFromRandomStates)
     exp::Rng rng(0x5a3913u);
     int transitions = 0;
     int inlineSteps = 0;
+    int inlineEvidence = 0;
+    int refusedCrossings = 0;
     for (const DefenseConfig& config :
          {adaptive, strict, immediate, wideSkew, fastConfig()}) {
         for (int trial = 0; trial < 1500; ++trial) {
             DefenseController fast(config, PlantModel{});
-            load(fast, randomState(config, rng));
+            load(fast, trial % 3 == 2 ? saturatedState(config, rng)
+                                      : randomState(config, rng));
             DefenseController reference = fast;
             double t = 0.01;
             double v = stateOf(fast).lastSampleV;
@@ -648,14 +695,21 @@ TEST(DefenseTest, InlineStepMatchesObserveSampleFromRandomStates)
                 const bool stepped =
                     fast.stepSample(t, lo, hi, primary, shadow);
                 reference.observeSample(t, lo, hi, primary, shadow);
-                const bool transition =
-                    tookTransition(config, before, stateOf(reference));
+                const ArchivedState after = stateOf(reference);
+                const bool transition = tookTransition(before, after);
                 ASSERT_EQ(stepped, !transition)
                     << "trial " << trial << " sample " << n;
+                const bool evidence = chargedEvidence(config, before, after);
                 if (stepped) {
                     ++inlineSteps;
+                    inlineEvidence += evidence ? 1 : 0;
                 } else {
                     ++transitions;
+                    refusedCrossings +=
+                        evidence && after.mode == before.mode &&
+                                after.relapseLevel == before.relapseLevel
+                            ? 1
+                            : 0;
                     EXPECT_EQ(bytesOf(fast), fastBefore)
                         << "a refused step wrote state";
                     fast.observeSample(t, lo, hi, primary, shadow);
@@ -665,9 +719,12 @@ TEST(DefenseTest, InlineStepMatchesObserveSampleFromRandomStates)
             }
         }
     }
-    // Both outcomes are exercised in bulk.
+    // Both outcomes are exercised in bulk, and so are evidence charges
+    // stepped inline and latch-only crossings refused.
     EXPECT_GT(transitions, 5000);
     EXPECT_GT(inlineSteps, 20000);
+    EXPECT_GT(inlineEvidence, 10000);
+    EXPECT_GT(refusedCrossings, 500);
 }
 
 TEST(DefenseTest, InlineQuietStepsMatchObserveSample)
