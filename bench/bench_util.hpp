@@ -93,12 +93,12 @@ struct Telemetry {
     std::vector<metrics::SweepRecord> sweeps;
     std::atomic<std::uint64_t> simCycles{0};
     /// Quantum-loop telemetry (schema v5): monitor-sample quanta
-    /// simulated, and the subset the coalescing fast path absorbed.
+    /// simulated, and the subset the fused kernel advanced quiet.
     std::atomic<std::uint64_t> quanta{0};
     std::atomic<std::uint64_t> coalescedQuanta{0};
     /// Quanta stepped while sleeping (schema v8).
     std::atomic<std::uint64_t> sleepQuanta{0};
-    /// Quanta the fused EMI-active kernel advanced (schema v9).
+    /// Quanta the fused kernel advanced under a tone (schema v9).
     std::atomic<std::uint64_t> fusedQuanta{0};
     /// Checkpoint-integrity defence counters (runtime::RuntimeStats)
     /// accumulated across every victim run of the process.
@@ -367,6 +367,34 @@ installSignalFlush(const std::string& figure)
     });
 }
 
+/** Record simulated cycles from benches that drive the sim directly. */
+inline void
+noteSimCycles(std::uint64_t cycles)
+{
+    telemetry().simCycles.fetch_add(cycles, std::memory_order_relaxed);
+}
+
+/**
+ * Record cycles plus the quantum-loop telemetry (schema v5) of one
+ * directly-driven simulation.  Preferred over noteSimCycles for
+ * benches holding an IntermittentSim: the coalesced-quantum counters
+ * feed the recorded `coalesced_quanta` effectiveness metric.
+ */
+inline void
+noteSimRun(sim::IntermittentSim& simulation)
+{
+    telemetry().simCycles.fetch_add(simulation.machine().stats.cycles,
+                                    std::memory_order_relaxed);
+    telemetry().quanta.fetch_add(simulation.stats.quanta,
+                                 std::memory_order_relaxed);
+    telemetry().coalescedQuanta.fetch_add(
+        simulation.stats.coalescedQuanta, std::memory_order_relaxed);
+    telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
+                                      std::memory_order_relaxed);
+    telemetry().fusedQuanta.fetch_add(simulation.stats.fusedQuanta,
+                                      std::memory_order_relaxed);
+}
+
 /**
  * Run the victim once with the given (possibly null) injection setup.
  * Thread-safe: every call owns its simulator, I/O hub, and source; the
@@ -414,46 +442,9 @@ runVictim(const VictimConfig& vc, const attack::InjectionRig* rig,
     out.completions = simulation.machine().stats.completions;
     out.checkpointFailureRate = simulation.checkpointFailureRate();
     out.backupSignals = simulation.stats.backupSignals;
-    telemetry().simCycles.fetch_add(out.cycles,
-                                    std::memory_order_relaxed);
-    telemetry().quanta.fetch_add(simulation.stats.quanta,
-                                 std::memory_order_relaxed);
-    telemetry().coalescedQuanta.fetch_add(
-        simulation.stats.coalescedQuanta, std::memory_order_relaxed);
-    telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
-                                      std::memory_order_relaxed);
-    telemetry().fusedQuanta.fetch_add(simulation.stats.fusedQuanta,
-                                      std::memory_order_relaxed);
+    noteSimRun(simulation);
     noteRuntimeStats(simulation.geckoRuntime().stats);
     return out;
-}
-
-/** Record simulated cycles from benches that drive the sim directly. */
-inline void
-noteSimCycles(std::uint64_t cycles)
-{
-    telemetry().simCycles.fetch_add(cycles, std::memory_order_relaxed);
-}
-
-/**
- * Record cycles plus the quantum-loop telemetry (schema v5) of one
- * directly-driven simulation.  Preferred over noteSimCycles for
- * benches holding an IntermittentSim: the coalesced-quantum counters
- * feed the recorded `coalesced_quanta` effectiveness metric.
- */
-inline void
-noteSimRun(sim::IntermittentSim& simulation)
-{
-    telemetry().simCycles.fetch_add(simulation.machine().stats.cycles,
-                                    std::memory_order_relaxed);
-    telemetry().quanta.fetch_add(simulation.stats.quanta,
-                                 std::memory_order_relaxed);
-    telemetry().coalescedQuanta.fetch_add(
-        simulation.stats.coalescedQuanta, std::memory_order_relaxed);
-    telemetry().sleepQuanta.fetch_add(simulation.stats.sleepQuanta,
-                                      std::memory_order_relaxed);
-    telemetry().fusedQuanta.fetch_add(simulation.stats.fusedQuanta,
-                                      std::memory_order_relaxed);
 }
 
 /**

@@ -194,23 +194,6 @@ main(int argc, char** argv)
             // Scenario section: the spec's scenario replaces the
             // default attack list; clean stays as the baseline arm.
             if (spec.hasScenario) {
-                campaign::Scenario sc;
-                sc.freqHz = spec.scenario.freqHz;
-                sc.powerDbm = spec.scenario.powerDbm;
-                sc.gridRows = spec.scenario.gridRows;
-                sc.gridCols = spec.scenario.gridCols;
-                sc.gridRow = spec.scenario.gridRow;
-                sc.gridCol = spec.scenario.gridCol;
-                sc.burstCount = spec.scenario.burstCount;
-                sc.burstOnS = spec.scenario.burstOnS;
-                sc.burstGapS = spec.scenario.burstGapS;
-                // Schema v2 attack-schedule scripting.
-                sc.dutyPeriodS = spec.scenario.dutyPeriodS;
-                sc.dutyOnFrac = spec.scenario.dutyOnFrac;
-                sc.phaseS = spec.scenario.phaseS;
-                sc.envelopeDbm = spec.scenario.envelopeDbm;
-                sc.outagePeriodS = spec.scenario.outagePeriodS;
-                sc.outageOnFrac = spec.scenario.outageOnFrac;
                 campaign::Scenario clean;
                 clean.kind = campaign::ScenarioKind::kClean;
                 clean.freqHz = 0.0;
@@ -220,13 +203,8 @@ main(int argc, char** argv)
                 clean.outagePeriodS = spec.scenario.outagePeriodS;
                 clean.outageOnFrac = spec.scenario.outageOnFrac;
                 space.scenarios = {clean};
-                if (spec.scenario.kind == "tone") {
-                    sc.kind = campaign::ScenarioKind::kTone;
-                    space.scenarios.push_back(sc);
-                } else if (spec.scenario.kind == "burst") {
-                    sc.kind = campaign::ScenarioKind::kBurst;
-                    space.scenarios.push_back(sc);
-                }
+                if (spec.scenario.kind != campaign::ScenarioKind::kClean)
+                    space.scenarios.push_back(spec.scenario);
             }
         } else if (arg.rfind("--threads=", 0) == 0 ||
                    arg.rfind("--seed=", 0) == 0 ||

@@ -131,21 +131,7 @@ toSpec(const AttackKnobs& k, const KnobBounds& b, const std::string& name,
     spec.hasSeed = true;
     spec.seed = seed;
     spec.hasScenario = true;
-    spec.scenario.kind = "tone";
-    spec.scenario.freqHz = k.freqHz;
-    spec.scenario.powerDbm = k.powerDbm;
-    spec.scenario.gridRows = b.gridRows;
-    spec.scenario.gridCols = b.gridCols;
-    spec.scenario.gridRow = k.gridCell / b.gridCols;
-    spec.scenario.gridCol = k.gridCell % b.gridCols;
-    spec.scenario.dutyPeriodS = k.dutyPeriodS;
-    spec.scenario.dutyOnFrac = k.dutyOnFrac;
-    spec.scenario.phaseS = k.phaseS;
-    if (k.envelopeStepDbm > 0.01)
-        spec.scenario.envelopeDbm = {k.powerDbm,
-                                     k.powerDbm - k.envelopeStepDbm};
-    spec.scenario.outagePeriodS = outagePeriodS;
-    spec.scenario.outageOnFrac = outageOnFrac;
+    spec.scenario = toScenario(k, b, "", outagePeriodS, outageOnFrac);
     spec.hasEngine = true;
     spec.devices = {device};
     spec.seeds = seeds;

@@ -46,9 +46,6 @@ class Comparator
 
     double reference() const { return referenceV_; }
 
-    /** Half the hysteresis band (transitions need ref ± halfBand). */
-    double halfBand() const { return halfBand_; }
-
   private:
     double referenceV_;
     double halfBand_;

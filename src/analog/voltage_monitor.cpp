@@ -21,23 +21,6 @@ AdcMonitor::AdcMonitor(int adcBits, double fullScaleV, double vBackup,
 {
 }
 
-bool
-AdcMonitor::quietRange(double lo, double hi) const
-{
-    if (lo > hi)
-        return false;
-    // The ADC transfer curve is monotone, so checking the range
-    // endpoints bounds every code the monitor could see.  Each latch
-    // must keep its value for all of them; with both latches stable no
-    // edge can fire and `observe` is a pure no-op.
-    const bool belowStable = belowBackup_
-                                 ? adc_.sample(hi) < backupCode_
-                                 : adc_.sample(lo) >= backupCode_;
-    const bool aboveStable = aboveWake_ ? adc_.sample(lo) >= wakeCode_
-                                        : adc_.sample(hi) < wakeCode_;
-    return belowStable && aboveStable;
-}
-
 void
 AdcMonitor::reset(double v)
 {
@@ -52,21 +35,6 @@ ComparatorMonitor::ComparatorMonitor(double vBackup, double vWake,
       wakeComp_(vWake, hysteresisV, /*initialHigh=*/true),
       checkHz_(checkHz)
 {
-}
-
-bool
-ComparatorMonitor::quietRange(double lo, double hi) const
-{
-    if (lo > hi)
-        return false;
-    // A comparator's output only changes by crossing ref ± halfBand in
-    // the direction opposite its current state; bound the input range
-    // away from the active flank of each comparator.
-    const auto stable = [lo, hi](const Comparator& c) {
-        return c.output() ? lo >= c.reference() - c.halfBand()
-                          : hi <= c.reference() + c.halfBand();
-    };
-    return stable(backupComp_) && stable(wakeComp_);
 }
 
 void

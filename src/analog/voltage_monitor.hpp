@@ -73,22 +73,6 @@ class VoltageMonitor
         return envelopeOf(*this, low, high);
     }
 
-    /**
-     * True iff any sequence of observations within [lo, hi] is provably
-     * a no-op: no backup or wake event fires and every edge-detection
-     * latch keeps its current value.  This is the monitor side of the
-     * simulator's quantum-coalescing guard — when it holds over a whole
-     * burst's voltage range, the skipped per-quantum `observe` calls
-     * cannot have changed anything.  Conservative: `false` means
-     * "unknown", never "unsafe is fine".
-     */
-    virtual bool quietRange(double lo, double hi) const
-    {
-        (void)lo;
-        (void)hi;
-        return false;
-    }
-
     /** Re-initialise state as if the supply were at `v`. */
     virtual void reset(double v) = 0;
 
@@ -150,7 +134,6 @@ class AdcMonitor final : public VoltageMonitor
         return ev;
     }
     double sampleIntervalS() const override { return 1.0 / sampleHz_; }
-    bool quietRange(double lo, double hi) const override;
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 
@@ -204,7 +187,6 @@ class ComparatorMonitor final : public VoltageMonitor
 
     double sampleIntervalS() const override { return 1.0 / checkHz_; }
     bool continuous() const override { return true; }
-    bool quietRange(double lo, double hi) const override;
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 

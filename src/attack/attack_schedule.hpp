@@ -44,10 +44,10 @@ class AttackSchedule
     /**
      * True iff any window intersects the half-open span [t0, t1) — the
      * simulator's horizon query.  The sleeping-state analytic wake jump
-     * and the running-state quantum-coalescing guard both ask this once
-     * per horizon instead of scanning the window list per quantum;
-     * answered in O(log n) from a start-sorted index with a running
-     * max-end, so overlapping or out-of-order window sets stay exact.
+     * asks this once per horizon instead of scanning the window list
+     * per quantum; answered in O(log n) from a start-sorted index with
+     * a running max-end, so overlapping or out-of-order window sets
+     * stay exact.
      */
     bool overlapsRange(double t0, double t1) const;
 

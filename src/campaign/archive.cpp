@@ -1,39 +1,28 @@
 #include "campaign/archive.hpp"
 
+#include <algorithm>
+
+#include "sim/nvm.hpp"
+
 namespace gecko::campaign {
 
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'N', 'P'};
-
-const std::uint32_t*
-crcTable()
-{
-    static const auto table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
+constexpr std::size_t kHeader = 4 + 4 + 8;
 
 void
-putU32(std::vector<std::uint8_t>& out, std::uint32_t v)
+putU32(std::uint8_t* p, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void
-putU64(std::vector<std::uint8_t>& out, std::uint64_t v)
+putU64(std::uint8_t* p, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint32_t
@@ -59,7 +48,7 @@ getU64(const std::uint8_t* p)
 std::uint32_t
 crc32Bytes(const std::uint8_t* data, std::size_t n, std::uint32_t crc)
 {
-    const std::uint32_t* table = crcTable();
+    const auto& table = sim::detail::kCrcTable.entries[0];
     for (std::size_t i = 0; i < n; ++i)
         crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
     return crc;
@@ -68,13 +57,15 @@ crc32Bytes(const std::uint8_t* data, std::size_t n, std::uint32_t crc)
 std::vector<std::uint8_t>
 sealContainer(std::uint32_t version, const std::vector<std::uint8_t>& payload)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(4 + 4 + 8 + payload.size() + 4);
-    out.insert(out.end(), kMagic, kMagic + 4);
-    putU32(out, version);
-    putU64(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    putU32(out, crc32Bytes(payload.data(), payload.size()));
+    // Sized once and written in place: magic, version, payload length,
+    // payload, CRC.
+    std::vector<std::uint8_t> out(kHeader + payload.size() + 4);
+    std::copy(kMagic, kMagic + 4, out.begin());
+    putU32(out.data() + 4, version);
+    putU64(out.data() + 8, payload.size());
+    std::copy(payload.begin(), payload.end(), out.begin() + kHeader);
+    putU32(out.data() + kHeader + payload.size(),
+           crc32Bytes(payload.data(), payload.size()));
     return out;
 }
 
@@ -82,7 +73,6 @@ std::vector<std::uint8_t>
 openContainer(const std::vector<std::uint8_t>& bytes,
               std::uint32_t expectVersion)
 {
-    constexpr std::size_t kHeader = 4 + 4 + 8;
     if (bytes.size() < kHeader + 4)
         throw SnapshotError("snapshot: container too short");
     if (std::memcmp(bytes.data(), kMagic, 4) != 0)

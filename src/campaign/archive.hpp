@@ -38,7 +38,11 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Byte-wise CRC-32 (reflected 0xEDB88320, init 0, no final xor). */
+/**
+ * Byte-wise CRC-32 (reflected 0xEDB88320, init 0, no final xor) over
+ * the simulator's table (`sim::detail::kCrcTable`): over the
+ * little-endian bytes of words it equals `sim::crc32Words`.
+ */
 std::uint32_t crc32Bytes(const std::uint8_t* data, std::size_t n,
                          std::uint32_t crc = 0);
 

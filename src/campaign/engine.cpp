@@ -30,17 +30,6 @@
 
 namespace gecko::campaign {
 
-const char*
-scenarioName(ScenarioKind kind)
-{
-    switch (kind) {
-        case ScenarioKind::kClean: return "clean";
-        case ScenarioKind::kTone: return "tone";
-        case ScenarioKind::kBurst: return "burst";
-    }
-    return "unknown";
-}
-
 std::uint64_t
 CampaignSpace::jobCount() const
 {

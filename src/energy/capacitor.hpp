@@ -125,13 +125,11 @@ class Capacitor
 
     /**
      * Precomputed coefficients of one `chargeFrom(vOc, rSeries, dt)`
-     * step.  When the simulator's quantum-coalescing fast path has
-     * proven the source steady over a whole burst (constant vOc and
-     * rSeries, fixed dt), the Thevenin divide/exp work is hoisted out
-     * of the per-quantum loop; `quietStep` then replays the exact
-     * floating-point sequence of `discharge` + `chargeFrom` with these
-     * constants, bit-for-bit.  The simulator's fused EMI-active kernel
-     * hoists it the same way over a span it has proven steady.
+     * step.  When the simulator's fused quantum kernel has proven the
+     * source steady over a span (constant vOc and rSeries, fixed dt),
+     * the Thevenin divide/exp work is hoisted out of the per-quantum
+     * loop; `quietStep` then replays the exact floating-point sequence
+     * of `discharge` + `chargeFrom` with these constants, bit-for-bit.
      */
     struct ChargePlan {
         double vOc = 0.0;
@@ -158,52 +156,30 @@ class Capacitor
      * One untraced simulation quantum: `discharge(joules)` followed by
      * `chargeFrom` under a precomputed plan.  The running quantum draws
      * `cycles * epcJ` (exactly what `dischargeCycles` computes), the
-     * sleeping quantum `sleepPowerW * dt`.  Caller contract (the
-     * coalescing and fused-kernel guards): no trace buffer is installed
-     * and the outage latch has already been settled via `noteSource`,
-     * so the tracing hooks the slow path would run are provably inert
-     * and are skipped here.  Every energy-state operation matches the
+     * sleeping quantum `sleepPowerW * dt`.  Caller contract (the fused
+     * kernel's guards): no trace buffer is installed and the outage
+     * latch has already been settled via `noteSource`, so the tracing
+     * hooks the slow path would run are provably inert and are skipped
+     * here.  Every energy-state operation matches the
      * slow path's floating-point arithmetic exactly.
      */
     void quietStep(double joules, const ChargePlan& p)
     {
-        energyJ_ = quietStepEnergy(energyJ_, joules, p,
-                                   config_.capacitanceF, config_.maxV);
-    }
-
-    /**
-     * Adopt the stored energy a march of quietStepEnergy calls reached
-     * from energy(): the same value the matching quietStep calls would
-     * leave, so the coalescing commit takes it instead of replaying
-     * them.
-     */
-    void adoptQuietEnergy(double energyJ) { energyJ_ = energyJ; }
-
-    /**
-     * Pure form of quietStep's energy update: the stored energy after
-     * one quiet quantum drawing `joules` under plan `p`.  Static so the
-     * coalescing proof can march the *exact* burst trajectory on local
-     * copies — the same floating-point operations in the same order as
-     * the commit — before mutating anything.
-     */
-    static double quietStepEnergy(double energyJ, double joules,
-                                  const ChargePlan& p, double capacitanceF,
-                                  double maxV)
-    {
-        energyJ -= std::min(joules, energyJ);
-        double v = std::sqrt(2.0 * energyJ / capacitanceF);
+        const double c = config_.capacitanceF;
+        energyJ_ -= std::min(joules, energyJ_);
+        double v = std::sqrt(2.0 * energyJ_ / c);
         if (p.vOc <= v)
             v = v * p.leakDecay;
         else
             v = p.vInf + (v - p.vInf) * p.rcDecay;
-        v = std::clamp(v, 0.0, maxV);
-        return 0.5 * capacitanceF * v * v;
+        v = std::clamp(v, 0.0, config_.maxV);
+        energyJ_ = 0.5 * c * v * v;
     }
 
     /**
      * Settle the harvester-outage trace latch for source voltage `vOc`
-     * without charging.  The coalescing fast path calls this once per
-     * burst; with a steady source it is equivalent to the per-quantum
+     * without charging.  The fused quantum kernel calls this once per
+     * entry; with a steady source it is equivalent to the per-quantum
      * `traceOutage` the slow path performs inside `chargeFrom`.
      */
     void noteSource(double vOc) { traceOutage(vOc); }

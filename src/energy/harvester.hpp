@@ -40,9 +40,9 @@ class Harvester
      * `seriesResistance` provably return the *same values* for every
      * instant in [t, t+dt].  Unlike `steadyOver` (a heuristic some
      * models answer by endpoint comparison), a `true` here is a hard
-     * guarantee — the quantum-coalescing fast path replays per-quantum
+     * guarantee — the fused quantum kernel replays per-quantum
      * charging with one sampled (vOc, Rs) pair and must match the
-     * uncoalesced simulation bit-for-bit.  Default: unknown ⇒ false.
+     * stepped simulation bit-for-bit.  Default: unknown ⇒ false.
      */
     virtual bool constantOver(double t, double dt) const
     {

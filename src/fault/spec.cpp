@@ -99,7 +99,7 @@ asDoubleList(const JsonValue& v, const std::string& path,
 }
 
 bool
-mapGrid(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapGrid(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.grid", "expected an object");
@@ -131,7 +131,7 @@ mapGrid(const JsonValue& v, SpecScenario* sc, std::string* error)
 }
 
 bool
-mapBurst(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapBurst(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.burst", "expected an object");
@@ -190,15 +190,24 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario", "expected an object");
-    SpecScenario& sc = spec->scenario;
+    using campaign::ScenarioKind;
+    campaign::Scenario& sc = spec->scenario;
     bool hasGrid = false, hasBurst = false;
     for (const auto& [key, val] : v.members) {
         std::string path = "$.scenario." + key;
         if (key == "kind") {
-            if (!asString(val, path, &sc.kind, error))
+            std::string kind;
+            if (!asString(val, path, &kind, error))
                 return false;
-            if (sc.kind != "clean" && sc.kind != "tone" &&
-                sc.kind != "burst")
+            bool known = false;
+            for (ScenarioKind k : {ScenarioKind::kClean, ScenarioKind::kTone,
+                                   ScenarioKind::kBurst}) {
+                if (kind == campaign::scenarioName(k)) {
+                    sc.kind = k;
+                    known = true;
+                }
+            }
+            if (!known)
                 return failAt(error, path,
                               "kind must be clean, tone or burst");
         } else if (key == "freq_hz") {
@@ -241,13 +250,13 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
             return failAt(error, path, "unknown field \"" + key + "\"");
         }
     }
-    if (sc.kind == "clean" && (hasGrid || hasBurst))
+    if (sc.kind == ScenarioKind::kClean && (hasGrid || hasBurst))
         return failAt(error, "$.scenario",
                       "grid/burst require a tone or burst scenario");
-    if (hasBurst && sc.kind != "burst")
+    if (hasBurst && sc.kind != ScenarioKind::kBurst)
         return failAt(error, "$.scenario",
                       "burst schedule requires kind \"burst\"");
-    if (sc.kind == "clean" &&
+    if (sc.kind == ScenarioKind::kClean &&
         (sc.dutyPeriodS > 0.0 || sc.phaseS > 0.0 ||
          !sc.envelopeDbm.empty()))
         return failAt(error, "$.scenario",
@@ -470,10 +479,11 @@ serializeSpec(const FaultSpec& spec)
         os << "\n  }";
     }
     if (spec.hasScenario) {
-        const SpecScenario& sc = spec.scenario;
+        const campaign::Scenario& sc = spec.scenario;
         os << ",\n  \"scenario\": {";
-        os << "\n    \"kind\": \"" << sc.kind << "\"";
-        if (sc.kind != "clean") {
+        os << "\n    \"kind\": \"" << campaign::scenarioName(sc.kind)
+           << "\"";
+        if (sc.kind != campaign::ScenarioKind::kClean) {
             os << ",\n    \"freq_hz\": " << numText(sc.freqHz);
             os << ",\n    \"power_dbm\": " << numText(sc.powerDbm);
             if (sc.gridRows > 0) {
@@ -482,7 +492,8 @@ serializeSpec(const FaultSpec& spec)
                    << ", \"row\": " << sc.gridRow
                    << ", \"col\": " << sc.gridCol << "}";
             }
-            if (sc.kind == "burst" && sc.burstCount > 0) {
+            if (sc.kind == campaign::ScenarioKind::kBurst &&
+                sc.burstCount > 0) {
                 os << ",\n    \"burst\": {\"count\": " << sc.burstCount
                    << ", \"on_s\": " << numText(sc.burstOnS)
                    << ", \"gap_s\": " << numText(sc.burstGapS) << "}";

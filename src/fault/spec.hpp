@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/scenario.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 
@@ -37,42 +38,6 @@
 
 namespace gecko::fault {
 
-/** The EMI environment of a spec ("scenario" section). */
-struct SpecScenario {
-    /// "clean", "tone" or "burst".
-    std::string kind = "clean";
-    double freqHz = 27e6;
-    double powerDbm = 35.0;
-    /// Spatial grid placement (gridRows > 0 enables it): the tone is
-    /// injected from cell (gridRow, gridCol) of a rows x cols map.
-    int gridRows = 0;
-    int gridCols = 0;
-    int gridRow = 0;
-    int gridCol = 0;
-    /// Explicit burst schedule (burstCount > 0 overrides the seeded
-    /// schedule of burst scenarios): `burstCount` windows of `burstOnS`
-    /// seconds separated by `burstGapS` gaps.
-    int burstCount = 0;
-    double burstOnS = 0.0;
-    double burstGapS = 0.0;
-    // --- schema v2: attack-schedule scripting ---
-    /// Duty cycling ("duty": {"period_s", "on_frac"}): the carrier is
-    /// on for onFrac of every period.  period_s > 0 enables.
-    double dutyPeriodS = 0.0;
-    double dutyOnFrac = 0.0;
-    /// Offset of the first attack window ("phase_s").
-    double phaseS = 0.0;
-    /// Piecewise amplitude envelope ("envelope": [dbm, ...]): per-
-    /// window carrier power, cycling.  Empty = flat power_dbm.
-    std::vector<double> envelopeDbm;
-    /// Harvester outage environment ("outage": {"period_s",
-    /// "on_frac"}): supply up for onFrac of every period, collapsed
-    /// for the rest.  period_s > 0 enables; legal on any kind (it is
-    /// environment, not attack).
-    double outagePeriodS = 0.0;
-    double outageOnFrac = 0.0;
-};
-
 /** One parsed scenario-spec file (schema version 1 or 2; the v2
  *  attack-schedule fields are rejected in v1 specs). */
 struct FaultSpec {
@@ -91,9 +56,10 @@ struct FaultSpec {
     double simBudgetS = 0.0;
     std::uint64_t watchdog = 0;
 
-    // "scenario" section (EMI environment; campaign_runner jobs).
+    // "scenario" section (EMI environment; campaign_runner jobs).  The
+    // wire format has no scenario name: `scenario.name` stays empty.
     bool hasScenario = false;
-    SpecScenario scenario;
+    campaign::Scenario scenario;
 
     // "engine" section (campaign_runner job space).
     bool hasEngine = false;

@@ -9,7 +9,9 @@ namespace {
 std::string
 reg(Reg r)
 {
-    return "r" + std::to_string(static_cast<int>(r));
+    std::string name(1, 'r');
+    name += std::to_string(static_cast<int>(r));
+    return name;
 }
 
 }  // namespace

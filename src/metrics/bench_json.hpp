@@ -66,7 +66,7 @@ struct SweepRecord {
  *    about half of all stepped quanta under a continuous tone.
  *  - 9: added `fused_quanta` next to `coalesced_quanta`: running and
  *    sleeping quanta advanced by the fused EMI-active kernel (DESIGN.md
- *    §14.1), so a record shows that its defended runs fuse as well as
+ *    §14), so a record shows that its defended runs fuse as well as
  *    coalesce.
  * Readers look keys up by name and ignore the ones they do not know,
  * so newer records keep aggregating under older readers.
@@ -96,13 +96,13 @@ struct BenchReport {
     /// Simulated machine cycles executed across every victim run.
     std::uint64_t simCycles = 0;
     /// Monitor-sample quanta simulated across every victim run, and the
-    /// subset absorbed by the quantum-coalescing fast path (schema v5).
+    /// subset the fused kernel advanced with no tone active (schema v5).
     std::uint64_t quanta = 0;
     std::uint64_t coalescedQuanta = 0;
     /// Monitor-sample quanta stepped while sleeping (schema v8).
     std::uint64_t sleepQuanta = 0;
-    /// Running and sleeping quanta advanced by the fused EMI-active
-    /// kernel (schema v9).
+    /// Running and sleeping quanta the fused kernel advanced under a
+    /// tone (schema v9).
     std::uint64_t fusedQuanta = 0;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).

@@ -120,8 +120,8 @@ class GeckoRuntime
      * disarmed, `onProgress` only forwards the commit count to the
      * defense controller, so while the controller's commitsGroup()
      * holds, one call after a fused machine run stands for the
-     * per-quantum ones — one leg of the simulator's quantum-coalescing
-     * guard (DESIGN.md §14).
+     * per-quantum ones — one leg of the fused quantum kernel's
+     * deferral guard (DESIGN.md §14).
      */
     bool probeArmed() const { return probeArmed_; }
 
@@ -130,7 +130,7 @@ class GeckoRuntime
      * set, a concluding probe only disarms itself and cannot re-enable
      * JIT, so one `onProgress` after a fused machine run stands for the
      * per-quantum ones even while the probe is armed — the other leg
-     * of the fused kernel's machine-deferral guard (DESIGN.md §14.1).
+     * of the fused kernel's machine-deferral guard (DESIGN.md §14).
      */
     bool sawBackupSinceBoot() const { return sawBackupSinceBoot_; }
 

@@ -29,20 +29,18 @@ traceMv(double v)
 }
 
 /**
- * Resolve the coalescing burst limit: explicit config wins, then
- * GECKO_COALESCE (0 or 1 = off), default 64 quanta — one coarse
- * quiet-stride burst.
+ * Resolve the fast-path switch: explicit config wins, then
+ * GECKO_COALESCE; 0 or 1 turns the fused kernel off, leaving the
+ * stepped reference path.  On by default.
  */
-int
-resolveCoalesceLimit(int configured)
+bool
+resolveFastPath(int configured)
 {
-    int limit = configured;
-    if (limit < 0) {
-        limit = 64;
-        if (const char* env = std::getenv("GECKO_COALESCE"))
-            limit = std::atoi(env);
+    if (configured < 0) {
+        const char* env = std::getenv("GECKO_COALESCE");
+        return env == nullptr || std::atoi(env) >= 2;
     }
-    return std::clamp(limit, 0, 1 << 16);
+    return configured >= 2;
 }
 
 /**
@@ -58,29 +56,16 @@ shadowView(analog::VoltageMonitor& shadow, double lo, double hi)
 }
 
 /**
- * The fast paths' per-sample defense policy without a controller: every
- * hook is constant, so the undefended instantiations of coalescedRun
- * and fusedQuanta compile to the plain loops.
+ * The fused kernel's per-sample defense policy without a controller:
+ * every hook is constant, so the undefended instantiations of
+ * fusedQuanta compile to the plain loop.
  */
 struct NoDefense {
-    NoDefense probe() const { return *this; }
-    void adopt(const NoDefense&) const {}
-    bool quietSample(double, double) const { return true; }
-    bool shadowQuiet(double, double) const { return true; }
     bool commitsGroup() const { return true; }
     template <class Settle>
-    void attackedSample(double, double, double, const analog::MonitorEvent&,
-                        Settle&&) const
+    void sample(double, double, double, const analog::MonitorEvent&,
+                Settle&&) const
     {
-    }
-};
-
-/** A copy of the controller the coalescing proof marches ahead on. */
-struct ControllerProbe {
-    defense::DefenseController controller;
-    bool quietSample(double t, double v)
-    {
-        return controller.stepSample(t, v, v, {}, {});
     }
 };
 
@@ -93,31 +78,17 @@ struct Defense {
     defense::DefenseController& controller;
     analog::VoltageMonitor& shadow;
 
-    ControllerProbe probe() const { return ControllerProbe{controller}; }
-
-    /// Commit a probe that marched exactly the committed quanta.
-    void adopt(const ControllerProbe& probe) const
-    {
-        controller = probe.controller;
-    }
-
-    /// The skipped shadow observations over [lo, hi] are no-ops.
-    bool shadowQuiet(double lo, double hi) const
-    {
-        return shadow.quietRange(lo, hi);
-    }
-
     bool commitsGroup() const { return controller.commitsGroup(); }
 
-    /// feedDefense for an attacked sample with tone envelope [lo, hi]:
-    /// the shadow's view, then the controller's inline step, or
-    /// observeSample for a sample that takes a transition.  `settle`
-    /// runs a deferred machine budget first, so a transition sees the
-    /// stepped path's order: machine, then observation.
+    /// feedDefense for a sample whose rail spans [lo, hi] (the tone
+    /// envelope, or one point when quiet): the shadow's view, then the
+    /// controller's inline step, or observeSample for a sample that
+    /// takes a transition.  `settle` runs a deferred machine budget
+    /// first, so a transition sees the stepped path's order: machine,
+    /// then observation.
     template <class Settle>
-    void attackedSample(double t, double lo, double hi,
-                        const analog::MonitorEvent& primary,
-                        Settle&& settle) const
+    void sample(double t, double lo, double hi,
+                const analog::MonitorEvent& primary, Settle&& settle) const
     {
         const analog::MonitorEvent seen = shadowView(shadow, lo, hi);
         if (!controller.stepSample(t, lo, hi, primary, seen)) {
@@ -162,7 +133,7 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
     compMonitor_ = dynamic_cast<analog::ComparatorMonitor*>(monitor_.get());
 
-    coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
+    fastPath_ = resolveFastPath(config.coalesceQuanta);
 
     bool staged = compiled.scheme != Scheme::kNvp;
     machine_.setStagedIo(staged);
@@ -519,10 +490,9 @@ IntermittentSim::boot()
     state_ = State::kRunning;
 }
 
-void
-IntermittentSim::stepRunning(double end, bool allowCoalesce)
+double
+IntermittentSim::quantumS(bool attacked) const
 {
-    bool attacked = attackActive();
     int stride = attacked ? 1 : config_.quietStride;
     // Near the backup threshold, sample at full rate even when quiet so
     // the crossing is caught with fine granularity.
@@ -533,31 +503,13 @@ IntermittentSim::stepRunning(double end, bool allowCoalesce)
         if (cap_.nearThresholdE(e_backup, 4.0 * quantum))
             stride = 1;
     }
-    double dt = monitor_->sampleIntervalS() * stride;
+    return monitor_->sampleIntervalS() * stride;
+}
 
-    // Quantum-coalescing fast path (DESIGN.md §14).  Cheap side
-    // conditions here; coalescedRun performs the physics proof.  Every
-    // skipped per-quantum hook is provably inert or replayed under these
-    // guards: updateAttack (source disabled, no window in the horizon),
-    // onProgress (probe disarmed; the controller's commit notes group
-    // exactly), trace macros (no buffer installed), monitor and shadow
-    // observations (quietRange latch stability), the controller's
-    // sample step (stepped by the policy, the burst cut before any
-    // transition).
-    if (allowCoalesce && coalesceLimit_ >= 2 && !attacked &&
-        !monitorFault_ && !runtime_.probeArmed() &&
-        (emi_ == nullptr || !emi_->enabled()) &&
-        trace::current() == nullptr) {
-        bool advanced = false;
-        if (defense_ == nullptr)
-            advanced = coalescedRun(NoDefense{}, stride, dt, end);
-        else if (defense_->commitsGroup())
-            advanced = coalescedRun(Defense{*defense_, *shadowMonitor_},
-                                    stride, dt, end);
-        if (advanced)
-            return;
-    }
-
+void
+IntermittentSim::stepRunning()
+{
+    const double dt = quantumS(attackActive());
     ++stats.quanta;
 
     // Cycles this quantum affords at the clock rate.  The capacitor is
@@ -642,162 +594,6 @@ IntermittentSim::onRunningEvents(const analog::MonitorEvent& ev)
     }
 }
 
-
-template <class Policy>
-bool
-IntermittentSim::coalescedRun(Policy defense, int stride, double dt,
-                              double end)
-{
-    // ------------------------------------------------------------------
-    // Burst-length selection.  Start from the configured limit and
-    // halve until the harvester is *provably* constant over the horizon
-    // and no attack window can switch the tone on inside it.  The +1
-    // quantum of margin keeps the checks conservative against the
-    // burst's own floating-point time accumulation.
-    // ------------------------------------------------------------------
-    const double voc = harvester_.openCircuitVoltage(now_);
-    const double rs = harvester_.seriesResistance(now_);
-    int m = coalesceLimit_;
-    for (; m >= 2; m >>= 1) {
-        const double horizon = now_ + dt * static_cast<double>(m + 1);
-        if (!harvester_.constantOver(now_, dt * static_cast<double>(m + 1)))
-            continue;
-        if (schedule_ && emi_ && schedule_->overlapsRange(now_, horizon))
-            continue;
-        break;
-    }
-    if (m < 2)
-        return false;
-
-    // ------------------------------------------------------------------
-    // Trajectory proof.  With the source proven constant, the burst's
-    // evolution is fully determined; replay the exact per-quantum
-    // arithmetic (cycle carry → planned budget, quietStepEnergy) on
-    // local copies and check, quantum by quantum, that the slow path
-    // would (a) make the same stride choice — a coarse burst must stay
-    // outside the V_backup proximity margin, a fine burst must stay
-    // inside it, and (b) afford the whole clock budget — no brown-out.
-    // Exactness matters: a pessimistic march that ignores recharge
-    // rejects the charge/run duty cycles that dominate the figures.
-    // The end-of-quantum voltages feed the monitor proof; when that
-    // fails (a declining tail approaching the V_backup crossing), halve
-    // the burst — the shorter prefix spans a tighter voltage band.
-    // With a controller attached the march also steps a copy of it
-    // through each quantum's quiet sample and cuts the burst before the
-    // first sample that would take a transition, so the stepped path
-    // takes that one.  The march stops where the stepped path's
-    // horizon `end` would, so its end state (energy, carry, clock,
-    // summed budget, controller copy) is exactly the burst's.
-    // ------------------------------------------------------------------
-    const auto plan = cap_.planCharge(voc, rs, dt);
-    const double cf = cap_.capacitance();
-    const double maxV = cap_.maxVoltage();
-    const double eBackup = 0.5 * cf * vBackup_ * vBackup_;
-    // The proximity margin of the slow path's stride decision, always
-    // in coarse-quantum units (stepRunning's exact expression).
-    const double quantumE = monitor_->sampleIntervalS() *
-                            config_.quietStride * device_.power.clockHz *
-                            epc_;
-    const bool fineBurst = stride == 1;
-    int k = 0;
-    double vLo = 0.0;
-    double vHi = 0.0;
-    double e = 0.0;
-    double carry = 0.0;
-    double t = 0.0;
-    std::uint64_t fusedPlanned = 0;
-    std::uint64_t lastPlanned = 0;
-    auto probe = defense.probe();
-    for (int mTry = m;;) {
-        k = 0;
-        e = cap_.energy();
-        carry = cycleCarry_;
-        t = now_;
-        fusedPlanned = 0;
-        if (mTry != m)
-            probe = defense.probe();
-        while (k < mTry) {
-            // The horizon: the stepped path starts no quantum at or
-            // past `end`.
-            if (k > 0 && t >= end)
-                break;
-            // Stride re-check at the top of every quantum after the
-            // first (stepRunning decided it for the current one).
-            if (k > 0 && config_.quietStride > 1 &&
-                (e - eBackup < 4.0 * quantumE) != fineBurst)
-                break;
-            double nextCarry = carry + dt * device_.power.clockHz;
-            const std::uint64_t planned =
-                nextCarry > 0 ? static_cast<std::uint64_t>(nextCarry) : 0;
-            nextCarry -= static_cast<double>(planned);
-            const double avail = e - energyAtVoff_;
-            const std::uint64_t can =
-                avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
-            if (planned > can)
-                break;  // this quantum browns out: the slow path must die
-            const double nextE = energy::Capacitor::quietStepEnergy(
-                e, static_cast<double>(planned) * epc_, plan, cf, maxV);
-            const double v = std::sqrt(2.0 * nextE / cf);
-            const double nextT = t + dt;
-            if (!probe.quietSample(nextT, v))
-                break;  // a controller transition: the slow path takes it
-            e = nextE;
-            carry = nextCarry;
-            t = nextT;
-            fusedPlanned += planned;
-            lastPlanned = planned;
-            vLo = k == 0 ? v : std::min(vLo, v);
-            vHi = k == 0 ? v : std::max(vHi, v);
-            ++k;
-        }
-        if (k < 2)
-            return false;
-        // Monitor proof.  Every skipped observation samples an
-        // end-of-quantum voltage, all confined to [vLo, vHi] by the
-        // exact march above (EMI contributes exactly 0.0 with the
-        // source disabled).  quietRange certifies that no backup/wake
-        // edge can fire and no latch can move anywhere in that band —
-        // the skipped observations are pure no-ops, the shadow's too.
-        if (monitor_->quietRange(vLo, vHi) &&
-            defense.shadowQuiet(vLo, vHi))
-            break;
-        if (mTry == 2)
-            return false;
-        mTry = std::max(2, k >> 1);
-    }
-
-    // ------------------------------------------------------------------
-    // Commit: adopt the march's end state — the stored energy, cycle
-    // carry and clock it reached with the slow path's per-quantum
-    // arithmetic (bit-identical under the proven-constant source) and
-    // the controller copy it stepped through the same quanta — then one
-    // fused machine run.  noteSource settles the outage latch exactly
-    // as the k skipped chargeFrom calls would.
-    // ------------------------------------------------------------------
-    cap_.noteSource(voc);
-    cap_.adoptQuietEnergy(e);
-    cycleCarry_ = carry;
-    now_ = t;
-    defense.adopt(probe);
-    if (emi_) {
-        // The skipped point observations would each have drawn one DCO
-        // jitter sample; keep the sequence aligned.
-        sampleSeq_ += static_cast<std::uint32_t>(k);
-    }
-    stats.quanta += static_cast<std::uint64_t>(k);
-    stats.coalescedQuanta += static_cast<std::uint64_t>(k);
-    ++stats.coalescedBursts;
-
-    // One fused machine run for the burst's summed budget; the one
-    // onProgress (one noteCommit) stands for the per-quantum ones: the
-    // caller's commitsGroup guard makes the grouping exact.
-    const std::int64_t lastStart =
-        static_cast<std::int64_t>(fusedPlanned - lastPlanned) - debt_;
-    debt_ -= static_cast<std::int64_t>(fusedPlanned);
-    runOwedMachine(lastStart);
-    return true;
-}
-
 void
 IntermittentSim::runOwedMachine(std::int64_t lastStart)
 {
@@ -829,16 +625,20 @@ IntermittentSim::runOwedMachine(std::int64_t lastStart)
 bool
 IntermittentSim::fusedRun(FusedSpan& span, double stopAt)
 {
-    // Guards (DESIGN.md §14.1).  Each keeps a per-quantum hook the
-    // kernel skips provably inert: no trace buffer (trace macros,
-    // crossing and outage events) and no monitor fault (the only other
-    // reader of an observation).  A defense controller is a policy of
-    // the kernel, not a guard.  The coalescing switch turns every fast
-    // path off together.
-    if (coalesceLimit_ < 2 || !attackActive() || monitorFault_ ||
-        trace::current() != nullptr)
+    // Guards (DESIGN.md §14).  Each keeps a per-quantum hook the kernel
+    // skips provably inert: no trace buffer (trace macros, crossing and
+    // outage events) and no monitor fault (the only other reader of an
+    // observation).  A defense controller is a policy of the kernel,
+    // not a guard.  A quiet sleep is left to stepSleeping, whose
+    // analytic wake jump skips the whole recharge.
+    if (!fastPath_ || monitorFault_ || trace::current() != nullptr)
         return false;
-    if (now_ >= span.until && !proveFusedSpan(span))
+    const bool tone = attackActive();
+    if (!tone && state_ != State::kRunning)
+        return false;
+    const double dt = quantumS(tone);
+    if ((now_ >= span.until || span.dt != dt || span.tone != tone) &&
+        !proveFusedSpan(span, dt, tone))
         return false;
     const auto run = [&](auto policy) {
         if (compMonitor_ != nullptr)
@@ -853,13 +653,10 @@ IntermittentSim::fusedRun(FusedSpan& span, double stopAt)
 }
 
 bool
-IntermittentSim::proveFusedSpan(FusedSpan& span)
+IntermittentSim::proveFusedSpan(FusedSpan& span, double dt, bool tone)
 {
-    // Under attack the monitor samples every quantum (stride 1).
-    const double dt = monitor_->sampleIntervalS();
     // Halve until the harvester is provably constant; the +1 quantum of
-    // margin absorbs the span's own floating-point time accumulation,
-    // as in coalescedRun.
+    // margin absorbs the span's own floating-point time accumulation.
     int m = std::clamp(2 * span.quanta, 1, FusedSpan::kMaxQuanta);
     while (m >= 1 &&
            !harvester_.constantOver(now_, dt * static_cast<double>(m + 1)))
@@ -867,13 +664,14 @@ IntermittentSim::proveFusedSpan(FusedSpan& span)
     span.quanta = m;
     if (m < 1)
         return false;
-    // updateAttack sets the same tone at every instant before the next
-    // window edge, so the kernel may skip it until then.
+    // updateAttack sets the same tone, or none, at every instant before
+    // the next window edge, so the kernel may skip it until then.
     double until = now_ + dt * static_cast<double>(m);
     if (schedule_ != nullptr)
         until = std::min(until, schedule_->nextEdgeAfter(now_));
     span.until = until;
     span.dt = dt;
+    span.tone = tone;
     span.voc = harvester_.openCircuitVoltage(now_);
     span.plan =
         cap_.planCharge(span.voc, harvester_.seriesResistance(now_), dt);
@@ -889,7 +687,7 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
     const double dt = span.dt;
     const double cyclesPerQuantum = dt * device_.power.clockHz;
     const double sleepJ = device_.power.sleepPowerW * dt;
-    const double amplitude = emi_->amplitude();
+    const double amplitude = span.tone ? emi_->amplitude() : 0.0;
     bool advanced = false;
     // Deferred machine budget: `owing` while debt_ holds running quanta
     // whose machine run has not happened yet; `lastStart` is the owed
@@ -906,9 +704,13 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
     };
     while (now_ < stopAt && now_ < span.until) {
         if (running) {
-            // stepRunning's budget on copies: hand the quantum back
-            // untouched if the buffer cannot pay for it (brown-out), or
-            // if the machine must run and its run cannot wait.
+            // stepRunning's stride decision, then its budget on copies:
+            // hand the quantum back untouched if its length differs
+            // from the span's, if the buffer cannot pay for it
+            // (brown-out), or if the machine must run and its run
+            // cannot wait.
+            if (!span.tone && quantumS(false) != dt)
+                break;
             double carry = cycleCarry_ + cyclesPerQuantum;
             const std::uint64_t planned =
                 carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
@@ -943,24 +745,31 @@ IntermittentSim::fusedQuanta(Monitor& monitor, Policy defense,
             cap_.noteSource(span.voc);
             advanced = true;
         }
-        ++stats.fusedQuanta;
+        ++(span.tone ? stats.fusedQuanta : stats.coalescedQuanta);
         now_ += dt;
 
-        // observeMonitor's attacked branch for this monitor type, then
-        // feedDefense's.  A sample that takes a controller transition
-        // goes to observeSample right here, after the deferred machine
-        // run, as in the stepped path; the kernel reads every
-        // mode-dependent policy live below (jitActive at a backup,
-        // wakeAllowed at a wake, the deferral guard at the next
-        // quantum), so it goes on after one.
+        // observeMonitor for this monitor type, then feedDefense: a
+        // quiet point sample, or under the tone the comparator envelope
+        // or the ADC point sample next to the tone envelope.  A sample
+        // that takes a controller transition goes to observeSample
+        // right here, after the deferred machine run, as in the stepped
+        // path; the kernel reads every mode-dependent policy live below
+        // (jitActive at a backup, wakeAllowed at a wake, the deferral
+        // guard at the next quantum), so it goes on after one.
         const double v = cap_.voltage();
+        double lo = v - amplitude;
+        double hi = v + amplitude;
         analog::MonitorEvent ev;
-        if constexpr (std::is_same_v<Monitor, analog::ComparatorMonitor>)
-            ev = monitor.observeEnvelope(v - amplitude, v + amplitude);
-        else
+        if (!span.tone) {
+            lo = hi = v + emiAt(now_);
+            ev = monitor.observe(lo);
+        } else if constexpr (std::is_same_v<Monitor,
+                                            analog::ComparatorMonitor>) {
+            ev = monitor.observeEnvelope(lo, hi);
+        } else {
             ev = monitor.observe(v + emiAt(now_));
-        defense.attackedSample(now_, v - amplitude, v + amplitude, ev,
-                               settle);
+        }
+        defense.sample(now_, lo, hi, ev, settle);
 
         if (!running) {
             // Every wake goes through onSleepingWake, as in the stepped
@@ -1081,8 +890,8 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
     // run() re-entry — so a bounded run settles up to one poll slice
     // past the landing quantum, exactly as it always has (the fault
     // campaign's post-completion evidence depends on that tail).
-    // Coalesced bursts are capped at the poll horizon, so the poll sees
-    // every completion a burst could have produced.
+    // The fused kernel stops at the poll horizon, so the poll sees
+    // every completion its deferred machine run could have produced.
     double pollEnd = bounded ? std::min(now_ + kCompletionPollS, end) : end;
     FusedSpan span;
     while (now_ < end) {
@@ -1096,7 +905,7 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
         if (fusedRun(span, pollEnd))
             continue;
         if (state_ == State::kRunning)
-            stepRunning(pollEnd, true);
+            stepRunning();
         else
             stepSleeping();
     }

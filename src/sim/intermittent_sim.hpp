@@ -76,10 +76,9 @@ struct SimConfig {
     /// the global GECKO_SEED (exp::applyGlobalSeed).  The default 0 with
     /// no global seed preserves the historical jitter sequence.
     std::uint64_t monitorSeed = 0;
-    /// Quantum-coalescing fast path (DESIGN.md §14): maximum number of
-    /// monitor-sample quanta fused into one machine run when the guard
-    /// proves the burst indistinguishable from per-quantum stepping.
-    /// -1 = resolve from GECKO_COALESCE (default 64); 0 or 1 = off.
+    /// Quantum fast path switch (DESIGN.md §14): -1 = resolve from
+    /// GECKO_COALESCE (default on); 0 or 1 = off (the stepped
+    /// reference); any other value = on.
     int coalesceQuanta = -1;
     /// Bounded retry on a transiently failing checkpoint save (injected
     /// write fault): how many re-attempts before giving up.
@@ -116,20 +115,20 @@ struct SimStats {
     // Pure diagnostics (never archived): quantum-loop telemetry for the
     // bench drivers and the perf regression guard.  Excluded from
     // snapshots on purpose so campaign aggregates stay bit-identical
-    // whether or not the coalescing fast path engaged.
+    // whether or not the fused quantum kernel engaged.
     // ------------------------------------------------------------------
-    /// Monitor-sample quanta simulated while running (stepped, fused or
-    /// coalesced).
+    /// Monitor-sample quanta simulated while running (stepped or
+    /// advanced by the fused kernel).
     std::uint64_t quanta = 0;
     /// Monitor-sample quanta stepped while sleeping (the analytic wake
     /// jump of a quiet recharge is not a quantum).
     std::uint64_t sleepQuanta = 0;
-    /// Quanta absorbed by the coalescing fast path.
+    /// Running quanta the fused kernel (DESIGN.md §14) advanced with no
+    /// tone active; a subset of quanta.
     std::uint64_t coalescedQuanta = 0;
-    /// Number of coalesced bursts (each fuses ≥ 2 quanta).
-    std::uint64_t coalescedBursts = 0;
-    /// Running and sleeping quanta advanced by the fused EMI-active
-    /// kernel (DESIGN.md §14.1); a subset of quanta + sleepQuanta.
+    /// Running and sleeping quanta the fused kernel advanced under a
+    /// tone; a subset of quanta + sleepQuanta, disjoint from
+    /// coalescedQuanta.
     std::uint64_t fusedQuanta = 0;
 };
 
@@ -231,16 +230,17 @@ class IntermittentSim
 
   private:
     /**
-     * A span of simulated time over which the fused EMI-active kernel
-     * has proven its inputs constant: the harvester returns (voc, rs)
-     * and no attack-window edge falls in [now, until).  Local to one
-     * runLoop call.
+     * A span of simulated time over which the fused kernel has proven
+     * its inputs constant: the harvester returns (voc, rs), no
+     * attack-window edge falls in [now, until), the quantum is `dt` long
+     * and the tone is on or off throughout.  Local to one runLoop call.
      */
     struct FusedSpan {
         /// Longest span one proof covers, in quanta.
         static constexpr int kMaxQuanta = 1 << 16;
         double until = 0.0;
         double dt = 0.0;
+        bool tone = false;
         double voc = 0.0;
         energy::Capacitor::ChargePlan plan;
         /// Length of the last proof, in quanta: the next proof starts
@@ -259,43 +259,37 @@ class IntermittentSim
     /// historical 0.01 s cadence inside this one loop — no per-slice
     /// run() re-entry — so bounded runs keep their settle tail.
     void runLoop(double end, std::uint64_t targetCompletions);
-    void stepRunning(double end, bool allowCoalesce);
-    /// Quantum-coalescing fast path (DESIGN.md §14).  Called with the
-    /// cheap preconditions already established; proves a burst of up to
-    /// coalesceLimit_ quanta inert (steady source, no attack window, no
-    /// monitor edge reachable, no brown-out or V_backup approach, no
-    /// controller transition) by marching its per-quantum energy and
-    /// controller bookkeeping, then commits the march's end state and
-    /// one fused machine run.  `Policy` is the static per-sample
-    /// defense policy (a no-op without a controller).  @return true if
-    /// it advanced the simulation.
-    template <class Policy>
-    bool coalescedRun(Policy defense, int stride, double dt, double end);
+    /// The stride decision: the length of the next running quantum
+    /// (one monitor sample under attack or near V_backup, quietStride
+    /// samples otherwise).
+    double quantumS(bool attacked) const;
+    void stepRunning();
     /**
-     * Fused EMI-active kernel (DESIGN.md §14.1): steps attacked quanta,
-     * running and sleeping, in one loop until a brown-out looms, a
-     * backup arms the JIT checkpoint, a wake boots, the machine must
-     * run where its run cannot be deferred, or `stopAt` / the span's
-     * end is reached.  A deferred machine budget is run before any of
-     * those exits and before a controller transition.  `Policy` is the
-     * static per-sample defense policy, as for coalescedRun.  @return
-     * true if it advanced the simulation; false leaves the quantum to
-     * the stepped path.
+     * The fused quantum kernel (DESIGN.md §14), the one quantum fast
+     * path: steps running quanta, and sleeping quanta under a tone, in
+     * one loop until a brown-out looms, the stride changes, a backup
+     * arms the JIT checkpoint, a wake boots, the machine must run where
+     * its run cannot be deferred, or `stopAt` / the span's end is
+     * reached.  A deferred machine budget is run before any of those
+     * exits and before a controller transition.  `Policy` is the
+     * static per-sample defense policy (a no-op without a controller).
+     * @return true if it advanced the simulation; false leaves the
+     * quantum to the stepped path.
      */
     bool fusedRun(FusedSpan& span, double stopAt);
-    bool proveFusedSpan(FusedSpan& span);
+    bool proveFusedSpan(FusedSpan& span, double dt, bool tone);
     template <class Monitor, class Policy>
     bool fusedQuanta(Monitor& monitor, Policy defense,
                      const FusedSpan& span, double stopAt);
     /**
      * The machine run of a stretch of running quanta whose clock
-     * budgets were already debited from debt_ (coalescing and the
-     * fused kernel's deferral): runs the machine for the owed -debt_
-     * cycles, if any, then makes the stretch's one
-     * noteExecutionSinceCheckpoint and onProgress.  `lastStart` is the
-     * owed budget up to the start of the stretch's last quantum (≤ 0
-     * when it has only one): a halt or latched fault before it burns
-     * the rest, as the later quanta would, one inside it does not.
+     * budgets were already debited from debt_ (the fused kernel's
+     * deferral): runs the machine for the owed -debt_ cycles, if any,
+     * then makes the stretch's one noteExecutionSinceCheckpoint and
+     * onProgress.  `lastStart` is the owed budget up to the start of
+     * the stretch's last quantum (≤ 0 when it has only one): a halt or
+     * latched fault before it burns the rest, as the later quanta
+     * would, one inside it does not.
      */
     void runOwedMachine(std::int64_t lastStart);
     /// Backup/wake bookkeeping after a running quantum's observation.
@@ -355,9 +349,8 @@ class IntermittentSim
     double energyAtVoff_;
     double epc_;  // energy per cycle
     double spc_;  // seconds per cycle
-    /// Resolved coalescing burst limit (config/GECKO_COALESCE); < 2
-    /// disables the fast path.
-    int coalesceLimit_ = 0;
+    /// Resolved fast-path switch (config/GECKO_COALESCE).
+    bool fastPath_ = false;
 };
 
 /**

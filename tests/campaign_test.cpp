@@ -938,22 +938,11 @@ TEST(EngineTest, SpatialSpecScenarioInterruptResumesByteIdentical)
         config.space.seeds = {1, 2};
         config.space.simSeconds = spec.simS;
         config.space.sliceSimSeconds = spec.sliceS;
-        campaign::Scenario sc;
-        sc.kind = campaign::ScenarioKind::kBurst;
-        sc.freqHz = spec.scenario.freqHz;
-        sc.powerDbm = spec.scenario.powerDbm;
-        sc.gridRows = spec.scenario.gridRows;
-        sc.gridCols = spec.scenario.gridCols;
-        sc.gridRow = spec.scenario.gridRow;
-        sc.gridCol = spec.scenario.gridCol;
-        sc.burstCount = spec.scenario.burstCount;
-        sc.burstOnS = spec.scenario.burstOnS;
-        sc.burstGapS = spec.scenario.burstGapS;
         campaign::Scenario clean;
         clean.kind = campaign::ScenarioKind::kClean;
         clean.freqHz = 0.0;
         clean.powerDbm = 0.0;
-        config.space.scenarios = {clean, sc};
+        config.space.scenarios = {clean, spec.scenario};
         return config;
     };
     EXPECT_EQ(fault::resolveSeed(spec), 31u);

@@ -22,21 +22,23 @@
 
 /**
  * @file
- * Differential suite for the quantum-loop fast paths (DESIGN.md §14):
- * quantum coalescing and the fused EMI-active kernel.  Both are pure
- * speed optimizations behind one switch (SimConfig::coalesceQuanta /
- * GECKO_COALESCE): every test here runs the same scenario with the fast
- * paths enabled and disabled and demands bit-identical observables —
+ * Differential suite for the quantum-loop fast path (DESIGN.md §14):
+ * the fused kernel, which advances quiet running quanta and quanta
+ * under a tone.  It is a pure speed optimization behind one switch
+ * (SimConfig::coalesceQuanta / GECKO_COALESCE): every test here runs
+ * the same scenario with the fast path on and off (the stepped
+ * reference) and demands bit-identical observables —
  * machine ExecStats, registers, NVM image, I/O, simulated time, every
  * simulation counter except the fast-path telemetry itself, and the
  * full archived simulator state (capacitor energy, cycle carry and
  * debt, the DCO jitter sequence, monitor latches).
  *
  * Unlike the trace-carrying differentials in fuzz_test (an installed
- * trace buffer is one of the guards that *disables* coalescing), these
+ * trace buffer is one of the guards that *disables* the kernel), these
  * scenarios run without a buffer so the fast path actually engages —
- * each scenario asserts `coalescedQuanta > 0` on the enabled arm where
- * the physics permit it.
+ * each scenario asserts `coalescedQuanta > 0` (quiet quanta) or
+ * `fusedQuanta > 0` (quanta under a tone) on the enabled arm where the
+ * physics permit it.
  */
 
 namespace gecko {
@@ -96,7 +98,7 @@ struct Obs {
     std::uint64_t jitReenables = 0;
     /// IntermittentSim::archiveState bytes (controller state included).
     std::vector<std::uint8_t> snapshot;
-    /// All SimStats counters that must not depend on coalescing.
+    /// All SimStats counters that must not depend on the fast path.
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t>
@@ -160,11 +162,11 @@ expectSame(const Obs& on, const Obs& off, const std::string& label)
 }
 
 // ---------------------------------------------------------------------
-// Quiet-run engagement: a steady source with no attacker is the
-// coalescing fast path's home turf.  The enabled arm must absorb most
-// quanta into bursts and still match the disabled arm bit-for-bit, with
-// and without the adaptive controller (whose every quiet sample the
-// bursts step inline).
+// Quiet-run engagement: a steady source with no attacker is the quiet
+// fast path's home turf.  The enabled arm must advance most quanta in
+// the kernel and still match the disabled arm bit-for-bit, with and
+// without the adaptive controller (whose every quiet sample the kernel
+// steps inline).
 // ---------------------------------------------------------------------
 
 Obs
@@ -217,8 +219,8 @@ TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
 // the capacitor through real V_backup and V_on crossings, where the two
 // monitors legitimately flag the same edge a sample apart.  Each
 // primary kind runs with the controller (its shadow is the opposite
-// kind, whose edges can fall inside a band the primary certifies
-// quiet), and bursts must still match the stepped path bit-for-bit.
+// kind, whose edges can fall on a sample where the primary is silent),
+// and the kernel must still match the stepped path bit-for-bit.
 // ---------------------------------------------------------------------
 
 Obs
@@ -268,10 +270,10 @@ TEST(CoalesceQuietTest, DefendedOutageCyclesMatchSteppedPath)
 
 // ---------------------------------------------------------------------
 // Brown-out cuts: with V_backup a few millivolts above V_off, the last
-// quanta before an outage stay above V_backup (the monitors certify the
-// band quiet) until one cannot be paid for.  A burst marching down the
-// discharge therefore ends on the brown-out check after accepting
-// quanta, and the commit must adopt only the accepted ones: their
+// quanta before an outage stay above V_backup (no monitor edge fires)
+// until one cannot be paid for.  A kernel run down the discharge
+// therefore ends on the brown-out check after advancing quanta, and
+// must leave the unaffordable one untouched for the stepped path: its
 // energy, cycle carry and, when defended, controller state.
 // ---------------------------------------------------------------------
 
@@ -323,10 +325,102 @@ TEST(CoalesceQuietTest, BrownOutCutsMatchSteppedPath)
 }
 
 // ---------------------------------------------------------------------
+// Quiet ground the fused kernel covers since it took over coalescing.
+// (a) An enabled source whose amplitude sits at or below the 1e-4 V cut
+// of an active attack: no tone is active, so every quantum is quiet,
+// yet each observation still adds emiAt's nonzero jittered sample and
+// advances the DCO sequence.  (b) A weak supply the running core drains
+// into V_backup: the quiet span walks into the fine-stride margin above
+// V_backup, where the stepped path shortens the quantum.  Each arm runs
+// both monitor kinds, with and without the controller, on both
+// backends, and must match the stepped path bit-for-bit.
+// ---------------------------------------------------------------------
+
+enum class QuietArm { kWeakSource, kStrideMargin };
+
+Obs
+runQuietArm(QuietArm arm, analog::MonitorKind monitor, const char* defense,
+            sim::ExecBackend backend, int coalesceQuanta)
+{
+    static const CompiledProgram sensor = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    static const CompiledProgram crc =
+        compiler::compile(workloads::build("crc16"), Scheme::kGecko);
+    const bool weakSource = arm == QuietArm::kWeakSource;
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.monitorKind = monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    // The margin is four coarse quanta of energy; on 20 µF the ADC's
+    // spans the whole band above V_backup, so the ADC would never run a
+    // coarse quantum to walk in from.
+    cfg.cap.capacitanceF = weakSource ? 20e-6 : 100e-6;
+    cfg.cap.initialV = 3.3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    cfg.defense = preset(defense);
+
+    const char* workload = weakSource ? "sensor_loop" : "crc16";
+    sim::IoHub io;
+    workloads::setupIo(workload, io);
+    energy::SquareWaveHarvester outages(3.3, 5.0, 0.004, 0.003);
+    energy::ConstantHarvester weak(3.3, 300.0);
+    energy::Harvester& supply =
+        weakSource ? static_cast<energy::Harvester&>(outages) : weak;
+    sim::IntermittentSim simulation(weakSource ? sensor : crc, dev, cfg,
+                                    supply, io);
+    simulation.machine().setExecBackend(backend);
+    const double freqHz =
+        monitor == analog::MonitorKind::kAdc ? 27e6 : 5e6;
+    attack::RemoteRig rig(dev, monitor, 0.5);
+    // The strongest whole-dBm tone still at or below the cut.
+    double powerDbm = 35.0;
+    while (rig.amplitude(freqHz, powerDbm) > 1e-4)
+        powerDbm -= 1.0;
+    attack::EmiSource source(rig, freqHz, powerDbm);
+    if (weakSource) {
+        EXPECT_TRUE(source.enabled());
+        EXPECT_GT(source.amplitude(), 0.0);
+        EXPECT_LE(source.amplitude(), 1e-4);
+        simulation.setEmiSource(&source);
+    }
+    simulation.run(0.03);
+    return capture(simulation, io);
+}
+
+TEST(CoalesceQuietTest, QuietGroundMatchesSteppedPath)
+{
+    for (QuietArm arm : {QuietArm::kWeakSource, QuietArm::kStrideMargin})
+        for (analog::MonitorKind monitor :
+             {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator})
+            for (const char* defense : {"static", "adaptive"})
+                for (sim::ExecBackend backend :
+                     {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+                    const std::string name =
+                        std::string(arm == QuietArm::kWeakSource
+                                        ? "weak-source/"
+                                        : "stride-margin/") +
+                        analog::monitorKindName(monitor) + "/" + defense +
+                        "/" + sim::execBackendName(backend);
+                    Obs on = runQuietArm(arm, monitor, defense, backend, 64);
+                    Obs off = runQuietArm(arm, monitor, defense, backend, 0);
+                    ASSERT_GT(on.stats.cycles, 0u) << name;
+                    EXPECT_GT(std::get<2>(on.counters), 0u)
+                        << name << ": no backup signals";
+                    EXPECT_GT(on.coalescedQuanta, 0u) << name;
+                    EXPECT_EQ(on.fusedQuanta, 0u)
+                        << name << ": a tone counted as active";
+                    EXPECT_EQ(off.coalescedQuanta, 0u) << name;
+                    expectSame(on, off, name);
+                }
+}
+
+// ---------------------------------------------------------------------
 // Fuzzed EMI schedules: random tone windows switch the attack on and
-// off mid-run.  Coalescing must engage only between windows (the sorted
-// window query proves the horizon clean) and never change a single
-// observable, under every execution backend.
+// off mid-run.  Quiet quanta are advanced only between windows (a span
+// ends at the next window edge) and never change a single observable,
+// under every execution backend.
 // ---------------------------------------------------------------------
 
 struct EmiEnv {
@@ -432,9 +526,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceEmiFuzzTest,
 
 // ---------------------------------------------------------------------
 // Fault-injection differential: every injector class, replayed with
-// coalescing on and off, must produce the identical CaseResult — the
+// the fast path on and off, must produce the identical CaseResult — the
 // fast path may never move an injection point, change an outcome, or
-// perturb a defence counter.  runCase resolves the coalescing limit
+// perturb a defence counter.  runCase resolves the fast-path switch
 // from GECKO_COALESCE at simulator construction, so the arms toggle it
 // through the environment.
 // ---------------------------------------------------------------------
@@ -497,12 +591,12 @@ TEST(CoalesceInjectorTest, AllInjectorsUnaffectedByCoalescing)
 
 // ---------------------------------------------------------------------
 // Snapshot/resume differential: serializing the simulation between
-// run() slices — burst state never spans a slice; a coalesced burst is
-// committed before stepRunning returns — tearing the world down, and
-// restoring into a fresh build must be invisible with the fast path
-// enabled.  The restored run re-proves its bursts from scratch (the
-// coalescing telemetry is deliberately not archived), so this also
-// pins down that a cold burst proof reaches the same trajectory.
+// run() slices — kernel state never spans a slice; a deferred machine
+// run is settled before the kernel returns — tearing the world down,
+// and restoring into a fresh build must be invisible with the fast path
+// enabled.  The restored run re-proves its spans from scratch (the
+// fast-path telemetry is deliberately not archived), so this also pins
+// down that a cold span proof reaches the same trajectory.
 // ---------------------------------------------------------------------
 
 Obs
@@ -647,7 +741,7 @@ runKernelCase(const KernelCase& c, sim::ExecBackend backend,
 
 // The machine-bound arm: a compute workload, so nearly every running
 // quantum must run the machine and the kernel defers its budget
-// (DESIGN.md §14.1).  The tone disables JIT by boot detection and arms
+// (DESIGN.md §14).  The tone disables JIT by boot detection and arms
 // the re-enable probe; its backups (spurious or real) mark the probe's
 // power cycle as attacked.  The weak window trips backups only near the
 // threshold, so a probe there can conclude with none seen and re-enable

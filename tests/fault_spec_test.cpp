@@ -40,7 +40,7 @@ fullSpec()
     spec.simBudgetS = 0.75;
     spec.watchdog = 123456;
     spec.hasScenario = true;
-    spec.scenario.kind = "burst";
+    spec.scenario.kind = campaign::ScenarioKind::kBurst;
     spec.scenario.freqHz = 27e6;
     spec.scenario.powerDbm = 35.0;
     spec.scenario.gridRows = 8;

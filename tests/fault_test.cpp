@@ -3,6 +3,7 @@
 #include <bitset>
 #include <vector>
 
+#include "campaign/archive.hpp"
 #include "compiler/pipeline.hpp"
 #include "exp/rng.hpp"
 #include "exp/thread_pool.hpp"
@@ -79,6 +80,30 @@ TEST(CrcTest, WordTableWalkMatchesByteSerialReference)
                 trial == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
             EXPECT_EQ(sim::crc32Words(words.data(), n, seed),
                       referenceCrc32(words, seed))
+                << "n " << n << " seed " << seed;
+        }
+    }
+}
+
+TEST(CrcTest, ByteWalkMatchesWordWalk)
+{
+    // The snapshot container's byte CRC and the JIT image's word CRC
+    // share one table: over the little-endian bytes of any words, with
+    // any starting value, the two walks agree.
+    exp::Rng rng(0x5eedc3c3u);
+    for (std::size_t n = 0; n <= 30; ++n) {
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<std::uint32_t> words(n);
+            std::vector<std::uint8_t> bytes;
+            for (std::uint32_t& w : words) {
+                w = static_cast<std::uint32_t>(rng.next());
+                for (int byte = 0; byte < 4; ++byte)
+                    bytes.push_back(static_cast<std::uint8_t>(w >> (8 * byte)));
+            }
+            const std::uint32_t seed =
+                trial == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+            EXPECT_EQ(campaign::crc32Bytes(bytes.data(), bytes.size(), seed),
+                      sim::crc32Words(words.data(), n, seed))
                 << "n " << n << " seed " << seed;
         }
     }

@@ -214,19 +214,19 @@ runToneSlice(const char* defense)
 }
 
 /**
- * Quantum-coalescing regression guard (DESIGN.md §14): the quiet slice
- * must (a) actually engage the coalescing fast path and (b) sustain a
+ * Quiet-quantum regression guard (DESIGN.md §14): the quiet slice
+ * must (a) actually engage the fused kernel and (b) sustain a
  * conservative simulated-cycles-per-wall-second floor.  The floor is
  * ~20x below the rate a contended 1-core host reaches, so it only trips
  * on a genuine collapse of the fast path (e.g. the guard chain
- * rejecting every burst), not on CI noise.
+ * rejecting every span), not on CI noise.
  */
 TEST(PerfSmokeTest, QuietSliceCoalescesAndHoldsThroughputFloor)
 {
     const LoopSlice r = runQuietSlice("static");
     ASSERT_GT(r.cycles, 1'000'000u) << "slice too short to time";
     EXPECT_GT(r.coalesced, 0u)
-        << "coalescing fast path never engaged on a quiet slice";
+        << "fused kernel never engaged on a quiet slice";
     // Most quanta of a quiet steady-source run should coalesce.
     EXPECT_GT(r.coalesced * 2, r.quanta)
         << "fast path absorbed only " << r.coalesced << " of " << r.quanta
@@ -244,7 +244,7 @@ TEST(PerfSmokeTest, QuietSliceCoalescesAndHoldsThroughputFloor)
 /**
  * The adaptive-preset twin: with the controller attached the quiet
  * slice must still coalesce most of its quanta (the controller is a
- * per-sample policy of the bursts, not a guard), so a change that turns
+ * per-sample policy of the kernel, not a guard), so a change that turns
  * the defended fast path off again fails here.
  */
 TEST(PerfSmokeTest, AdaptiveQuietSliceCoalesces)
@@ -260,7 +260,7 @@ TEST(PerfSmokeTest, AdaptiveQuietSliceCoalesces)
 }
 
 /**
- * Fused EMI-active kernel guard (DESIGN.md §14.1): the tone slice must
+ * Fused EMI-active kernel guard (DESIGN.md §14): the tone slice must
  * (a) step at least 80 % of its quanta, running and sleeping, through
  * the fused kernel and (b) hold a conservative
  * stepped-quanta-per-wall-second floor.  Like the quiet-slice floor, it
@@ -360,7 +360,7 @@ runMachineBoundToneJob(const char* defense)
 }
 
 /**
- * Machine-deferral guard (DESIGN.md §14.1): under a sustained tone
+ * Machine-deferral guard (DESIGN.md §14): under a sustained tone
  * GECKO detects the attack and runs with JIT disabled, so nearly every
  * running quantum must run the machine.  The fused kernel defers that
  * run to the next point that reads machine state, so it must advance
