@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -12,8 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include <pthread.h>
-
+#include "bench_util.hpp"
 #include "exp/thread_pool.hpp"
 #include "metrics/bench_json.hpp"
 #include "metrics/json.hpp"
@@ -68,9 +66,11 @@ struct FigureResult {
     double corruptedRestores = 0.0;
     double crcRejects = 0.0;
     double retriesExhausted = 0.0;
-    /// Quantum-loop telemetry: running, coalesced and sleeping quanta.
+    /// Quantum-loop telemetry: running, coalesced, fused and sleeping
+    /// quanta.
     double quanta = 0.0;
     double coalescedQuanta = 0.0;
+    double fusedQuanta = 0.0;
     double sleepQuanta = 0.0;
     bool ok = false;
 };
@@ -115,7 +115,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
     double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
     double totalCorrupted = 0.0, totalCrcRejects = 0.0,
            totalRetriesExhausted = 0.0;
-    double totalQuanta = 0.0, totalCoalesced = 0.0, totalSleep = 0.0;
+    double totalQuanta = 0.0, totalCoalesced = 0.0, totalFused = 0.0,
+           totalSleep = 0.0;
     int failures = 0;
     for (const FigureResult& r : results) {
         if (r.status != "pass")
@@ -128,6 +129,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         totalRetriesExhausted += r.retriesExhausted;
         totalQuanta += r.quanta;
         totalCoalesced += r.coalescedQuanta;
+        totalFused += r.fusedQuanta;
         totalSleep += r.sleepQuanta;
     }
 
@@ -167,6 +169,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
        << static_cast<std::uint64_t>(totalSleep)
        << ",\"total_coalesced_quanta\":"
        << static_cast<std::uint64_t>(totalCoalesced)
+       << ",\"total_fused_quanta\":"
+       << static_cast<std::uint64_t>(totalFused)
        << ",\"quanta_per_s\":"
        << gecko::metrics::fmt(
               totalWall > 0 ? totalQuanta / totalWall : 0.0, 0)
@@ -204,6 +208,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
            << static_cast<std::uint64_t>(r.sleepQuanta)
            << ",\"coalesced_quanta\":"
            << static_cast<std::uint64_t>(r.coalescedQuanta)
+           << ",\"fused_quanta\":"
+           << static_cast<std::uint64_t>(r.fusedQuanta)
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
            << "\",\"corrupted_restores\":"
@@ -235,33 +241,23 @@ suiteState()
 /**
  * SIGINT/SIGTERM → write the aggregate of whatever figures completed,
  * stamped "interrupted", then die with the conventional 128+sig.
- * Runs on a sigwait watcher thread (signals blocked everywhere else),
- * so taking the mutex and doing file I/O here is safe.
+ * Runs on the sigwait watcher thread, so taking the mutex and doing
+ * file I/O here is safe.
  */
 void
-installSuiteSignalFlush()
+flushSuiteAndExit(int sig)
 {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-    std::thread([set] {
-        int sig = 0;
-        if (sigwait(&set, &sig) != 0)
-            return;
-        SuiteState& st = suiteState();
-        std::lock_guard<std::mutex> lock(st.mutex);
-        std::ofstream out(st.outPath);
-        if (out) {
-            out << renderSuiteJson(st.results, st.threads, "interrupted")
-                << "\n";
-            // _Exit skips destructors: flush the stream by hand or the
-            // partial aggregate dies in the ofstream buffer.
-            out.close();
-        }
-        std::_Exit(128 + sig);
-    }).detach();
+    SuiteState& st = suiteState();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    std::ofstream out(st.outPath);
+    if (out) {
+        out << renderSuiteJson(st.results, st.threads, "interrupted")
+            << "\n";
+        // _Exit skips destructors: flush the stream by hand or the
+        // partial aggregate dies in the ofstream buffer.
+        out.close();
+    }
+    std::_Exit(128 + sig);
 }
 
 }  // namespace
@@ -303,7 +299,7 @@ main(int argc, char** argv)
 
     suiteState().outPath = outPath;
     suiteState().threads = threads;
-    installSuiteSignalFlush();
+    gecko::bench::detail::watchSignals(flushSuiteAndExit);
 
     std::vector<FigureResult> results;
     double totalWall = 0.0, totalSerial = 0.0;
@@ -364,6 +360,7 @@ main(int argc, char** argv)
             child.at("retries_exhausted", &r.retriesExhausted);
             child.at("quanta", &r.quanta);
             child.at("coalesced_quanta", &r.coalescedQuanta);
+            child.at("fused_quanta", &r.fusedQuanta);
             child.at("sleep_quanta", &r.sleepQuanta);
             return true;
         });

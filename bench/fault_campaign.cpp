@@ -26,7 +26,7 @@
  *                  the spec file wins over GECKO_SEED / --seed; without
  *                  one the ambient seed applies, falling back to 1.
  *   --watchdog=N   machine-level livelock budget in run-loop iterations
- *                  (default GECKO_WATCHDOG, else 400000)
+ *                  (default 400000)
  *   --threads=N    pool width (default GECKO_THREADS / host cores)
  *   --out=DIR      write DIR/fault_corpus.txt and DIR/fault_report.txt
  *   --replay=FILE  replay a corpus file case-by-case instead of

@@ -61,16 +61,8 @@ proposeRound(const SearchConfig& config, const SearchState& st, int round)
 std::string
 groupKeyFor(const SearchConfig& config, const std::string& scenarioName)
 {
-    std::string key = config.workload;
-    key += '/';
-    key += compiler::schemeName(config.scheme);
-    key += '/';
-    key += scenarioName;
-    if (config.defense != "static") {
-        key += '/';
-        key += config.defense;
-    }
-    return key;
+    return campaign::groupKey(config.workload, config.scheme, scenarioName,
+                              config.defense);
 }
 
 /** Build the one-round campaign space: clean baseline + candidates. */

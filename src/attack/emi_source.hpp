@@ -53,7 +53,6 @@ class EmiSource
      * milli-units), so traces record *where* the injection coupled.
      */
     void setGridTag(std::uint64_t cell, std::uint64_t couplingMilli);
-    bool hasGridTag() const { return hasGridTag_; }
 
     double freqHz() const { return freqHz_; }
     double powerDbm() const { return powerDbm_; }

@@ -124,16 +124,14 @@ CampaignSpace::configHash() const
 }
 
 std::string
-JobSpec::groupKey() const
+groupKey(const std::string& workload, compiler::Scheme scheme,
+         const std::string& scenario, const std::string& defense)
 {
-    // Seeds are the replication axis: they aggregate *into* a group,
-    // never split one.
     std::string key = workload;
     key += '/';
     key += compiler::schemeName(scheme);
     key += '/';
-    key += scenario.name.empty() ? scenarioName(scenario.kind)
-                                 : scenario.name.c_str();
+    key += scenario;
     // The historical single-arm "static" defense stays keyless so old
     // aggregates keep their group names byte-for-byte.
     if (defense != "static") {
@@ -141,6 +139,17 @@ JobSpec::groupKey() const
         key += defense;
     }
     return key;
+}
+
+std::string
+JobSpec::groupKey() const
+{
+    // Seeds are the replication axis: they aggregate *into* a group,
+    // never split one.
+    return campaign::groupKey(
+        workload, scheme,
+        scenario.name.empty() ? scenarioName(scenario.kind) : scenario.name,
+        defense);
 }
 
 JobSpec
@@ -164,6 +173,12 @@ jobAt(const CampaignSpace& space, std::uint64_t id)
 }
 
 namespace {
+
+/// Journal fsync cadence (records) of the manifest and results.jsonl.
+constexpr std::size_t kJournalSyncEvery = 8;
+/// aggregate.json is rewritten every this many new results (and at run
+/// end).
+constexpr std::uint64_t kCompactEvery = 64;
 
 /** Slice plan: count and per-slice duration (deterministic). */
 struct SlicePlan {
@@ -388,8 +403,7 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
     }
     r.commits = simulation.nvm().commitCount;
     out.slicesDone = plan.count;
-    if (!config.keepSnapshots)
-        std::remove(snapPath.c_str());
+    std::remove(snapPath.c_str());
     return out;
 }
 
@@ -493,7 +507,7 @@ processJob(Shared& sh, std::uint64_t id)
             sh.agg->add(out.result);
             sh.manifest->append(
                 {id, JobState::kDone, attempt, out.slicesDone, ""});
-            if (++sh.resultsSinceCompact >= config.compactEvery) {
+            if (++sh.resultsSinceCompact >= kCompactEvery) {
                 sh.results->sync();
                 sh.manifest->sync();
                 sh.compactLocked();
@@ -656,9 +670,9 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     sh.queueTotal =
         static_cast<std::uint64_t>(sh.requeued.size()) + (total - frontier);
 
-    ManifestWriter manifest(manifestPath, config.manifestSyncEvery);
+    ManifestWriter manifest(manifestPath, kJournalSyncEvery);
     metrics::JsonlWriter results(resultsPath, /*append=*/true,
-                                 config.manifestSyncEvery);
+                                 kJournalSyncEvery);
     if (!manifest.ok() || !results.ok())
         throw std::runtime_error("campaign: cannot open journal files in " +
                                  config.dir);

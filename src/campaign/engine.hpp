@@ -82,6 +82,13 @@ struct JobSpec {
     std::string groupKey() const;
 };
 
+/**
+ * Aggregation key "workload/scheme/scenario[/defense]"; the "static"
+ * defense adds no segment.
+ */
+std::string groupKey(const std::string& workload, compiler::Scheme scheme,
+                     const std::string& scenario, const std::string& defense);
+
 /** Decode job `id` from the space (mixed-radix; id < jobCount()). */
 JobSpec jobAt(const CampaignSpace& space, std::uint64_t id);
 
@@ -98,7 +105,9 @@ struct EngineConfig {
     /// flag-driven).  Recorded in quarantine notes so a poisoned
     /// spec-driven job names its spec in the manifest.
     std::string specPath;
-    /// Total attempts per job before quarantine.
+    /// Total attempts per job before quarantine.  Only campaign_test
+    /// sets this and the next two, to reach quarantine, zero-backoff
+    /// retries and one-job shards.
     int maxAttempts = 3;
     /// Linear retry backoff unit (attempt n sleeps n * this).
     int retryBackoffMs = 1;
@@ -108,12 +117,6 @@ struct EngineConfig {
     /// pending for a later resume.  Lets tests/drivers make bounded
     /// progress deliberately.
     std::uint64_t maxJobsThisRun = 0;
-    /// Manifest fsync cadence (records).
-    std::size_t manifestSyncEvery = 8;
-    /// Rewrite aggregate.json every N new results (and at run end).
-    std::uint64_t compactEvery = 64;
-    /// Keep per-job snapshots after completion (debugging).
-    bool keepSnapshots = false;
     /// Cooperative stop (signal flag): checked between jobs and
     /// between slices.  A mid-job stop snapshots and journals progress
     /// without consuming an attempt.

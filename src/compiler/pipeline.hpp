@@ -112,8 +112,6 @@ struct PipelineConfig {
     /// Disable only the clean-checkpoint elimination half of pruning
     /// (ablation knob; no effect when enablePruning is false).
     bool enableCleanElim = true;
-    /// Hard cap on conflict-fix iterations in slot colouring.
-    int maxColoringFixes = 64;
 };
 
 /** Aggregate static statistics of a compilation. */
@@ -135,15 +133,6 @@ struct CompileStats {
     int finalInstrs = 0;
     /// Entries in the runtime's region lookup table (≈ metadata cost).
     int lookupTableWords = 0;
-
-    /** Fraction of checkpoint stores removed by pruning, in [0,1]. */
-    double pruningRatio() const
-    {
-        if (ckptsBeforePruning == 0)
-            return 0.0;
-        return 1.0 - static_cast<double>(ckptsAfterPruning) /
-                         static_cast<double>(ckptsBeforePruning);
-    }
 
     /** Binary size overhead vs. the uninstrumented program, in [0,∞). */
     double codeSizeOverhead() const

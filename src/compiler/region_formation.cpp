@@ -60,12 +60,13 @@ RegionFormation::insertStructuralBoundaries(Program& prog,
             if (graph.isLoopHeader(b) && graph.block(b).first == i)
                 positions.insert(i);
         }
-        if (cfg.cutCalls && ins.op == Opcode::kCall) {
+        if (ins.op == Opcode::kCall) {
             positions.insert(i);
             positions.insert(i + 1);                   // return point
             positions.insert(prog.labelPos(ins.target));  // callee entry
         }
-        if (cfg.cutIo && (ins.op == Opcode::kIn || ins.op == Opcode::kOut)) {
+        // I/O is its own region.
+        if (ins.op == Opcode::kIn || ins.op == Opcode::kOut) {
             positions.insert(i);
             positions.insert(i + 1);
         }

@@ -22,10 +22,6 @@ namespace gecko::compiler {
 struct RegionFormationConfig {
     /// Boundary at every loop header (required for WCET-finite regions).
     bool cutLoopHeaders = true;
-    /// Boundaries before and after kCall and at call targets.
-    bool cutCalls = true;
-    /// Boundaries before and after kIn/kOut (I/O is its own region).
-    bool cutIo = true;
     /// See cutAntiDependences; false for the Ratchet baseline.
     bool preciseAliasing = true;
 };

@@ -55,7 +55,14 @@ struct DeviceProfile {
 
     /** Instantiate the requested monitor for this device. */
     std::unique_ptr<analog::VoltageMonitor>
-    makeMonitor(analog::MonitorKind kind) const;
+    makeMonitor(analog::MonitorKind kind) const
+    {
+        return makeMonitor(kind, vBackup);
+    }
+
+    /** The same monitor with its backup threshold moved to `vBackupV`. */
+    std::unique_ptr<analog::VoltageMonitor>
+    makeMonitor(analog::MonitorKind kind, double vBackupV) const;
 
     /** Remote coupling curve of the monitor path for `kind`. */
     const analog::ResonanceCurve&

@@ -53,8 +53,6 @@ class Capacitor
 
     double capacitance() const { return config_.capacitanceF; }
 
-    double maxVoltage() const { return config_.maxV; }
-
     /**
      * Draw `joules` from the buffer.  Inline: this is the simulator's
      * per-quantum hot path (millions of calls per figure), and the

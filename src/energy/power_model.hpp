@@ -25,7 +25,6 @@ struct PowerModel {
     double sleepPowerW = 2e-6;
 
     double secondsPerCycle() const { return 1.0 / clockHz; }
-    double cyclesPerSecond() const { return clockHz; }
 
     /** Active power (W). */
     double activePowerW() const { return energyPerCycleJ * clockHz; }

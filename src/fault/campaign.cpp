@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -41,19 +40,11 @@ constexpr std::size_t kMemWords = 16384;
 /** Historical machine-level livelock budget (run-loop iterations). */
 constexpr std::uint64_t kDefaultWatchdogBudget = 400000;
 
-/** 0 → GECKO_WATCHDOG from the environment → the historical default. */
+/** 0 → the historical default. */
 std::uint64_t
 resolveWatchdogBudget(std::uint64_t requested)
 {
-    if (requested > 0)
-        return requested;
-    if (const char* env = std::getenv("GECKO_WATCHDOG")) {
-        char* end = nullptr;
-        std::uint64_t v = std::strtoull(env, &end, 10);
-        if (end != env && v > 0)
-            return v;
-    }
-    return kDefaultWatchdogBudget;
+    return requested > 0 ? requested : kDefaultWatchdogBudget;
 }
 
 /** The fault-free oracle of one (workload, scheme, harness level). */

@@ -105,14 +105,10 @@ ProgramBuilder& ProgramBuilder::subi(Reg rd, Reg a, std::int32_t i)
 { return emitAluImm(Opcode::kSub, rd, a, i); }
 ProgramBuilder& ProgramBuilder::muli(Reg rd, Reg a, std::int32_t i)
 { return emitAluImm(Opcode::kMul, rd, a, i); }
-ProgramBuilder& ProgramBuilder::divui(Reg rd, Reg a, std::int32_t i)
-{ return emitAluImm(Opcode::kDivu, rd, a, i); }
 ProgramBuilder& ProgramBuilder::remui(Reg rd, Reg a, std::int32_t i)
 { return emitAluImm(Opcode::kRemu, rd, a, i); }
 ProgramBuilder& ProgramBuilder::andi(Reg rd, Reg a, std::int32_t i)
 { return emitAluImm(Opcode::kAnd, rd, a, i); }
-ProgramBuilder& ProgramBuilder::ori(Reg rd, Reg a, std::int32_t i)
-{ return emitAluImm(Opcode::kOr, rd, a, i); }
 ProgramBuilder& ProgramBuilder::xori(Reg rd, Reg a, std::int32_t i)
 { return emitAluImm(Opcode::kXor, rd, a, i); }
 ProgramBuilder& ProgramBuilder::shli(Reg rd, Reg a, std::int32_t i)

@@ -57,10 +57,8 @@ class ProgramBuilder
     ProgramBuilder& addi(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& subi(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& muli(Reg rd, Reg rs1, std::int32_t imm);
-    ProgramBuilder& divui(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& remui(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& andi(Reg rd, Reg rs1, std::int32_t imm);
-    ProgramBuilder& ori(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& xori(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& shli(Reg rd, Reg rs1, std::int32_t imm);
     ProgramBuilder& shri(Reg rd, Reg rs1, std::int32_t imm);

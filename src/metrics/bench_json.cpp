@@ -153,7 +153,6 @@ JsonlWriter::append(const std::string& line)
         if (n > 0) {
             p += n;
             left -= static_cast<std::size_t>(n);
-            ++shortWrites_;
         }
         if (++attempt > kMaxAttempts) {
             failed_ = true;

@@ -183,8 +183,6 @@ class JsonlWriter
     bool sync();
 
     std::uint64_t records() const { return records_; }
-    /// write() calls that returned short and were retried.
-    std::uint64_t shortWrites() const { return shortWrites_; }
     std::uint64_t syncs() const { return syncs_; }
 
   private:
@@ -193,7 +191,6 @@ class JsonlWriter
     std::size_t syncEvery_;
     std::uint64_t records_ = 0;
     std::uint64_t sinceSync_ = 0;
-    std::uint64_t shortWrites_ = 0;
     std::uint64_t syncs_ = 0;
 };
 

@@ -83,9 +83,6 @@ class GeckoRuntime
     std::uint64_t onBoot(
         std::uint64_t prevOnCycles = ~std::uint64_t{0});
 
-    /** Minimum legitimate power-on period (cycles) for the timer check. */
-    std::uint64_t minOnCycles() const { return minOnCycles_; }
-
     /**
      * Is the JIT checkpoint protocol currently armed?  NVP: always.
      * Ratchet: never.  GECKO: unless disabled by attack detection.

@@ -1,8 +1,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "compiler/block_metadata.hpp"
@@ -587,16 +585,6 @@ Machine::compileBlock(SuperBlock& b)
             f.costPrefix = b.cost;
             uops.assign(1, f);
         }
-    }
-    static const bool dumpBlocks = std::getenv("GECKO_DUMP_BLOCKS");
-    if (dumpBlocks) {
-        std::fprintf(stderr, "block@%u len=%u cost=%u uops=%zu:", b.start,
-                     b.len, b.cost, uops.size());
-        for (const Uop& du : uops)
-            std::fprintf(stderr, " %d(rd%u rs%u,%u rx%u rd2:%u i%u i2:%u a%u)",
-                         static_cast<int>(du.kind), du.rd, du.rs1, du.rs2,
-                         du.rx, du.rd2, du.imm, du.imm2, du.aux);
-        std::fprintf(stderr, "\n");
     }
     b.uopStart = static_cast<std::uint32_t>(uopPool_.size());
     b.uopCount = static_cast<std::uint32_t>(uops.size());

@@ -21,6 +21,23 @@ constexpr std::uint64_t kNoCompletionTarget = ~std::uint64_t{0};
 /// runs settle identically.
 constexpr double kCompletionPollS = 0.01;
 
+// Fixed properties of the modelled MSP430 board.
+/// Brown-out lockout hysteresis: the PMU releases reset only once V_CC
+/// exceeds V_off by this margin (V).
+constexpr double kBootLockoutV = 0.02;
+/// Monitor sample-timing jitter (s).  ADC conversions are triggered
+/// from the DCO (an RC oscillator with %-level cycle jitter), so
+/// successive samples land at effectively random phases of an RF
+/// carrier.
+constexpr double kSampleJitterS = 100e-9;
+/// CTPL's bounded retry on a transiently failing checkpoint save
+/// (injected write fault): re-attempts before giving up.
+constexpr int kJitSaveRetryLimit = 2;
+/// Backoff between checkpoint-save retries, in cycles, multiplied by
+/// the attempt number (linear backoff lets a short disturbance burst
+/// pass).
+constexpr int kJitRetryBackoffCycles = 256;
+
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
 [[maybe_unused]] std::uint64_t
 traceMv(double v)
@@ -108,7 +125,7 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
       nvm_(config.memWords), machine_(compiled, nvm_, io),
       runtime_(compiled, machine_, nvm_), cap_(config.cap)
 {
-    vOn_ = config.vOnOverride > 0 ? config.vOnOverride : device.vOn;
+    vOn_ = device.vOn;
     vBackup_ =
         config.vBackupOverride > 0 ? config.vBackupOverride : device.vBackup;
     vOff_ = device.vOff;
@@ -116,19 +133,7 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     epc_ = device.power.energyPerCycleJ;
     spc_ = device.power.secondsPerCycle();
 
-    monitor_ = device.makeMonitor(config.monitorKind);
-    // Thresholds may be overridden (capacitor-size sweep); rebuild the
-    // monitor if so.
-    if (config.vOnOverride > 0 || config.vBackupOverride > 0) {
-        if (config.monitorKind == analog::MonitorKind::kAdc) {
-            monitor_ = std::make_unique<analog::AdcMonitor>(
-                device.adcBits, device.vccNominal, vBackup_, vOn_,
-                device.adcSampleHz);
-        } else {
-            monitor_ = std::make_unique<analog::ComparatorMonitor>(
-                vBackup_, vOn_, device.compHysteresisV, device.compCheckHz);
-        }
-    }
+    monitor_ = device.makeMonitor(config.monitorKind, vBackup_);
     monitor_->reset(cap_.voltage());
     adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
     compMonitor_ = dynamic_cast<analog::ComparatorMonitor*>(monitor_.get());
@@ -152,14 +157,11 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     if (config.defense.enabled &&
         (compiled.scheme == Scheme::kGecko ||
          compiled.scheme == Scheme::kGeckoNoPrune)) {
-        if (config.monitorKind == analog::MonitorKind::kAdc) {
-            shadowMonitor_ = std::make_unique<analog::ComparatorMonitor>(
-                vBackup_, vOn_, device.compHysteresisV, device.compCheckHz);
-        } else {
-            shadowMonitor_ = std::make_unique<analog::AdcMonitor>(
-                device.adcBits, device.vccNominal, vBackup_, vOn_,
-                device.adcSampleHz);
-        }
+        shadowMonitor_ = device.makeMonitor(
+            config.monitorKind == analog::MonitorKind::kAdc
+                ? analog::MonitorKind::kComparator
+                : analog::MonitorKind::kAdc,
+            vBackup_);
         shadowMonitor_->reset(cap_.voltage());
 
         defense::PlantModel plant;
@@ -225,7 +227,7 @@ IntermittentSim::emiAt(double t)
     h ^= h >> 16;
     h *= 0x45d9f3bu;
     h ^= h >> 16;
-    double jitter = (h >> 8) * (config_.sampleJitterS / double(1u << 24));
+    double jitter = (h >> 8) * (kSampleJitterS / double(1u << 24));
     return emi_->voltageAt(t + jitter);
 }
 
@@ -394,7 +396,7 @@ IntermittentSim::doJitCheckpoint()
             state_ = State::kRunning;
             return;
         }
-        if (faulted && attempt < config_.jitSaveRetryLimit &&
+        if (faulted && attempt < kJitSaveRetryLimit &&
             cap_.energy() - energyAtVoff_ > attemptEnergy) {
             // Bounded retry with linear backoff: idle a short while so a
             // transient disturbance burst can pass, then try again.
@@ -408,7 +410,7 @@ IntermittentSim::doJitCheckpoint()
             double backoff =
                 defense_
                     ? static_cast<double>(defense_->backoffCycles(attempt))
-                    : static_cast<double>(config_.jitRetryBackoffCycles) *
+                    : static_cast<double>(kJitRetryBackoffCycles) *
                           (attempt + 1);
             cap_.discharge(backoff * epc_);
             cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
@@ -855,7 +857,7 @@ IntermittentSim::onSleepingWake()
     // V_off plus hysteresis.  A fake wake can only boot the system
     // inside the paper's malicious window V_off < V_fail < V_backup
     // (or legitimately above).
-    const bool clear = cap_.voltage() > vOff_ + config_.bootLockoutV;
+    const bool clear = cap_.voltage() > vOff_ + kBootLockoutV;
     // In kDegraded the controller distrusts the forgeable monitor
     // wake and defers the boot until the physics-timed recharge
     // dwell has elapsed (forward-progress ratchet, DESIGN.md §11).

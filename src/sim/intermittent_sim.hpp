@@ -47,17 +47,10 @@ struct SimConfig {
     /// checkpoint/restore (cost-only words; makes the checkpoint-churn
     /// DoS expensive, as on real boards — the FR5994 has 8 KiB SRAM).
     int jitRamWords = 4096;
-    /// Brown-out lockout hysteresis: the PMU releases reset only once
-    /// V_CC exceeds V_off by this margin (V).
-    double bootLockoutV = 0.02;
-    /// Monitor sample-timing jitter (s).  ADC conversions are triggered
-    /// from the DCO (an RC oscillator with %-level cycle jitter), so
-    /// successive samples land at effectively random phases of an RF
-    /// carrier.
-    double sampleJitterS = 100e-9;
     /// Words at the start of the JIT checkpoint routine during which a
     /// wake signal still vetoes/aborts it (CTPL re-checks the wake
-    /// condition before committing to the powerdown path).
+    /// condition before committing to the powerdown path).  Only
+    /// sim_test sets it, to sweep the veto window.
     int jitAbortWindowWords = 48;
     /// Fixed cold-boot overhead on every wake (clock/DCO settling,
     /// peripheral re-initialisation — milliseconds-scale on real
@@ -65,12 +58,14 @@ struct SimConfig {
     std::uint64_t bootOverheadCycles = 16000;
     /// Restart the program on completion (continuous sensing loop).
     bool continuous = true;
-    /// Threshold overrides; NaN means "use the device profile's value".
-    double vOnOverride = -1.0;
+    /// JIT checkpoint threshold override (V, capacitor-size sweep); the
+    /// default -1, or any value <= 0, keeps the device profile's
+    /// vBackup.
     double vBackupOverride = -1.0;
     /// Stride multiplier applied to the monitor sampling interval while
     /// no attack tone is active (pure speed knob; crossings detect a few
-    /// µs late, which the V_backup→V_off energy margin absorbs).
+    /// µs late, which the V_backup→V_off energy margin absorbs).  Only
+    /// sim_invariants_test sets it, to check invariants at every stride.
     int quietStride = 64;
     /// Component seed for the monitor's DCO sample jitter, combined with
     /// the global GECKO_SEED (exp::applyGlobalSeed).  The default 0 with
@@ -80,13 +75,6 @@ struct SimConfig {
     /// GECKO_COALESCE (default on); 0 or 1 = off (the stepped
     /// reference); any other value = on.
     int coalesceQuanta = -1;
-    /// Bounded retry on a transiently failing checkpoint save (injected
-    /// write fault): how many re-attempts before giving up.
-    int jitSaveRetryLimit = 2;
-    /// Backoff between checkpoint-save retries, in cycles, multiplied by
-    /// the attempt number (linear backoff lets a short disturbance burst
-    /// pass).
-    int jitRetryBackoffCycles = 256;
     /// Adaptive defense controller (DESIGN.md §11).  Off by default:
     /// the static-paper configurations and their byte-exact outputs are
     /// untouched.  Takes effect only for the guarded GECKO schemes.
@@ -169,8 +157,8 @@ class IntermittentSim
      * JIT write fault: called once per checkpoint word with its index
      * (0-based across the SRAM-padding and context words); returning
      * true makes that word's write fail transiently, abandoning the
-     * attempt.  The simulator retries with backoff up to
-     * SimConfig::jitSaveRetryLimit, then reports exhaustion to the
+     * attempt.  The simulator retries with backoff a bounded number of
+     * times (CTPL's fixed policy), then reports exhaustion to the
      * runtime.
      */
     void setJitWriteFault(std::function<bool(int word)> f)

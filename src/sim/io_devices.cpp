@@ -23,13 +23,6 @@ IoHub::input(int port)
 }
 
 void
-IoHub::clearOutputs()
-{
-    for (auto& out : outputs_)
-        out.clear();
-}
-
-void
 OutputSink::archiveState(campaign::Archive& ar)
 {
     ar.section("output_sink");

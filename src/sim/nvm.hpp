@@ -123,8 +123,6 @@ class Nvm
 
     explicit Nvm(std::size_t dataWords) : data_(dataWords, 0) {}
 
-    std::size_t dataWords() const { return data_.size(); }
-
     /** Load a data word. @throws std::out_of_range on bad addresses. */
     std::uint32_t load(std::uint32_t addr) const
     {
