@@ -55,7 +55,6 @@ struct FigureResult {
     int schemaVersion = 0;
     double wallS = 0.0;
     double serialWallS = 0.0;
-    double simCycles = 0.0;
     /// "pass" or "fail": exit status combined with the bench's own
     /// verdict from its JSON telemetry (benches without a verdict
     /// report "pass" when they exit 0).
@@ -63,15 +62,8 @@ struct FigureResult {
     /// Execution tier the child reported ("step"/"block"; "unknown"
     /// when it wrote no record).
     std::string execBackend = "unknown";
-    double corruptedRestores = 0.0;
-    double crcRejects = 0.0;
-    double retriesExhausted = 0.0;
-    /// Quantum-loop telemetry: running, coalesced, fused and sleeping
-    /// quanta.
-    double quanta = 0.0;
-    double coalescedQuanta = 0.0;
-    double fusedQuanta = 0.0;
-    double sleepQuanta = 0.0;
+    /// The child record's per-run counters.
+    gecko::metrics::BenchCounters counters;
     bool ok = false;
 };
 
@@ -112,26 +104,21 @@ std::string
 renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                 const std::string& forceStatus)
 {
-    double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
-    double totalCorrupted = 0.0, totalCrcRejects = 0.0,
-           totalRetriesExhausted = 0.0;
-    double totalQuanta = 0.0, totalCoalesced = 0.0, totalFused = 0.0,
-           totalSleep = 0.0;
+    using gecko::metrics::BenchCounterRow;
+    using gecko::metrics::BenchCounters;
+    double totalWall = 0.0, totalSerial = 0.0;
+    BenchCounters totals;
     int failures = 0;
     for (const FigureResult& r : results) {
         if (r.status != "pass")
             ++failures;
         totalWall += r.wallS;
         totalSerial += r.serialWallS;
-        totalCycles += r.simCycles;
-        totalCorrupted += r.corruptedRestores;
-        totalCrcRejects += r.crcRejects;
-        totalRetriesExhausted += r.retriesExhausted;
-        totalQuanta += r.quanta;
-        totalCoalesced += r.coalescedQuanta;
-        totalFused += r.fusedQuanta;
-        totalSleep += r.sleepQuanta;
+        totals += r.counters;
     }
+    auto perS = [](std::uint64_t n, double wallS) {
+        return gecko::metrics::fmt(wallS > 0 ? n / wallS : 0.0, 0);
+    };
 
     // One backend name for the whole suite when every child agrees
     // (the usual case: children inherit GECKO_EXEC); "mixed" otherwise.
@@ -159,31 +146,15 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         os << ",\"total_serial_wall_s\":"
            << gecko::metrics::fmt(totalSerial, 3) << ",\"speedup\":"
            << gecko::metrics::fmt(totalSerial / totalWall, 3);
-    os << ",\"total_sim_cycles\":"
-       << static_cast<std::uint64_t>(totalCycles)
-       << ",\"sim_cycles_per_s\":"
-       << gecko::metrics::fmt(
-              totalWall > 0 ? totalCycles / totalWall : 0.0, 0)
-       << ",\"total_quanta\":" << static_cast<std::uint64_t>(totalQuanta)
-       << ",\"total_sleep_quanta\":"
-       << static_cast<std::uint64_t>(totalSleep)
-       << ",\"total_coalesced_quanta\":"
-       << static_cast<std::uint64_t>(totalCoalesced)
-       << ",\"total_fused_quanta\":"
-       << static_cast<std::uint64_t>(totalFused)
+    totals.write(os, &BenchCounterRow::suiteKey);
+    os << ",\"sim_cycles_per_s\":"
+       << perS(totals.values[BenchCounters::kSimCycles], totalWall)
        << ",\"quanta_per_s\":"
-       << gecko::metrics::fmt(
-              totalWall > 0 ? totalQuanta / totalWall : 0.0, 0)
+       << perS(totals.values[BenchCounters::kQuanta], totalWall)
        << ",\"failures\":" << failures << ",\"status\":\""
        << (forceStatus.empty() ? (failures == 0 ? "pass" : "fail")
                                : forceStatus.c_str())
-       << "\",\"corrupted_restores\":"
-       << static_cast<std::uint64_t>(totalCorrupted)
-       << ",\"crc_rejects\":"
-       << static_cast<std::uint64_t>(totalCrcRejects)
-       << ",\"retries_exhausted\":"
-       << static_cast<std::uint64_t>(totalRetriesExhausted)
-       << ",\"figures\":[";
+       << "\",\"figures\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const FigureResult& r = results[i];
         if (i)
@@ -198,26 +169,11 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                << gecko::metrics::fmt(r.serialWallS, 3) << ",\"speedup\":"
                << gecko::metrics::fmt(
                       r.wallS > 0 ? r.serialWallS / r.wallS : 0.0, 3);
-        os << ",\"sim_cycles\":"
-           << static_cast<std::uint64_t>(r.simCycles)
-           << ",\"sim_cycles_per_s\":"
-           << gecko::metrics::fmt(
-                  r.wallS > 0 ? r.simCycles / r.wallS : 0.0, 0)
-           << ",\"quanta\":" << static_cast<std::uint64_t>(r.quanta)
-           << ",\"sleep_quanta\":"
-           << static_cast<std::uint64_t>(r.sleepQuanta)
-           << ",\"coalesced_quanta\":"
-           << static_cast<std::uint64_t>(r.coalescedQuanta)
-           << ",\"fused_quanta\":"
-           << static_cast<std::uint64_t>(r.fusedQuanta)
+        r.counters.write(os, &BenchCounterRow::key);
+        os << ",\"sim_cycles_per_s\":"
+           << perS(r.counters.values[BenchCounters::kSimCycles], r.wallS)
            << ",\"exec_backend\":\""
-           << gecko::metrics::jsonEscape(r.execBackend)
-           << "\",\"corrupted_restores\":"
-           << static_cast<std::uint64_t>(r.corruptedRestores)
-           << ",\"crc_rejects\":"
-           << static_cast<std::uint64_t>(r.crcRejects)
-           << ",\"retries_exhausted\":"
-           << static_cast<std::uint64_t>(r.retriesExhausted) << "}";
+           << gecko::metrics::jsonEscape(r.execBackend) << "\"}";
     }
     os << "]}";
     return os.str();
@@ -351,17 +307,10 @@ main(int argc, char** argv)
             if (!child.at("schema_version", &schemaVersion))
                 return false;
             r.schemaVersion = static_cast<int>(schemaVersion);
-            child.at("sim_cycles", &r.simCycles);
             if (!child.at("status", &r.status))
                 r.status = "pass";
             child.at("exec_backend", &r.execBackend);
-            child.at("corrupted_restores", &r.corruptedRestores);
-            child.at("crc_rejects", &r.crcRejects);
-            child.at("retries_exhausted", &r.retriesExhausted);
-            child.at("quanta", &r.quanta);
-            child.at("coalesced_quanta", &r.coalescedQuanta);
-            child.at("fused_quanta", &r.fusedQuanta);
-            child.at("sleep_quanta", &r.sleepQuanta);
+            r.counters.read(child);
             return true;
         });
         if (!r.ok)

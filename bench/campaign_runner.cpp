@@ -273,7 +273,7 @@ main(int argc, char** argv)
         for (const metrics::JsonValue& g : groups->arr) {
             std::uint64_t cycles = 0;
             g.at("cycles", &cycles);
-            bench::telemetry().simCycles.fetch_add(cycles);
+            bench::noteSimCycles(cycles);
         }
     }
     const std::string status = report.complete

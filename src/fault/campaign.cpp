@@ -432,6 +432,7 @@ runMachineCase(const CaseSpec& spec, std::uint64_t watchdogBudget,
     }
 
     collectRuntimeStats(res, runtime);
+    res.cycles = machine.stats.cycles;
     if (!injected && res.outcome == CaseOutcome::kOk)
         res.detail = "not-injected";
     if (res.outcome == CaseOutcome::kOk) {
@@ -572,6 +573,7 @@ runSimCase(const CaseSpec& spec, double simTimeBudgetS,
 
     bool completed = simulation.runUntilCompletions(1, simTimeBudgetS);
     collectRuntimeStats(res, simulation.geckoRuntime());
+    res.cycles = simulation.machine().stats.cycles;
     if (const auto* dc = simulation.defenseController()) {
         res.defenseEscalations = dc->stats().escalations;
         res.defenseRatchetTrips = dc->stats().ratchetTrips;
@@ -676,6 +678,13 @@ constexpr std::size_t kScheduleLen =
 
 }  // namespace
 
+std::string
+caseLabel(const CaseSpec& spec)
+{
+    return spec.workload + "|" + compiler::schemeName(spec.scheme) + "|" +
+           injectorName(spec.injector) + "|" + std::to_string(spec.seed);
+}
+
 std::vector<CaseSpec>
 makeCampaignCases(const CampaignConfig& config)
 {
@@ -730,12 +739,7 @@ runCampaign(const CampaignConfig& config)
         // ordinal (the deterministic trace-merge index) is recoverable.
         const auto ordinal =
             static_cast<std::uint64_t>(&spec - specs.data());
-        trace::CaseScope scope(
-            config.collector,
-            spec.workload + "|" + compiler::schemeName(spec.scheme) + "|" +
-                injectorName(spec.injector) + "|" +
-                std::to_string(spec.seed),
-            ordinal);
+        trace::CaseScope scope(config.collector, caseLabel(spec), ordinal);
         return runCase(spec, config.simTimeBudgetS, watchdogBudget);
     });
 
@@ -804,6 +808,7 @@ runCampaign(const CampaignConfig& config)
             if (corrupt && r.spec.scheme == Scheme::kNvp)
                 ++out.nvpCorruptions;
         }
+        out.simCycles += r.cycles;
         out.corruptedRestores += r.corruptedRestores;
         out.crcRejects += r.crcRejects;
         out.slotRepairs += r.slotRepairs;
@@ -823,9 +828,9 @@ runCampaign(const CampaignConfig& config)
     for (const CaseResult& r : out.cases) {
         if (!isCorruption(r.outcome))
             continue;
-        std::string group = r.spec.workload + "|" +
-                            compiler::schemeName(r.spec.scheme) + "|" +
-                            injectorName(r.spec.injector);
+        // The case label without its seed.
+        std::string group = caseLabel(r.spec);
+        group.erase(group.rfind('|'));
         if (kept[group] >= config.corpusPerGroup) {
             ++dropped;
             continue;

@@ -62,9 +62,9 @@ struct CampaignConfig {
     /// Pool override for tests (null = the process-wide pool).
     exp::ThreadPool* pool = nullptr;
     /// Event-trace sink: when set, every case records into its own
-    /// buffer labelled "workload|scheme|injector|seed" with the case
-    /// ordinal as merge index (null = tracing off).  Minimisation
-    /// probes are untraced — only the primary run of each case is.
+    /// buffer labelled caseLabel() with the case ordinal as merge
+    /// index (null = tracing off).  Minimisation probes are untraced —
+    /// only the primary run of each case is.
     trace::Collector* collector = nullptr;
 };
 
@@ -122,6 +122,9 @@ struct CampaignResult {
                static_cast<double>(instrNvpCorruptions) *
                    static_cast<double>(instrGeckoCases);
     }
+    /// Victim machine cycles of every case's primary run (minimisation
+    /// probes excluded).
+    std::uint64_t simCycles = 0;
     /// Aggregated defence counters across all cases.
     std::uint64_t corruptedRestores = 0;
     std::uint64_t crcRejects = 0;
@@ -134,6 +137,11 @@ struct CampaignResult {
     std::uint64_t defenseEscalations = 0;
     std::uint64_t defenseRatchetTrips = 0;
 };
+
+/** A case's trace-buffer label, "workload|scheme|injector|seed"; the
+ *  campaign and the corpus replay share it so their traces diff
+ *  cleanly. */
+std::string caseLabel(const CaseSpec& spec);
 
 /** Deterministic case list for a config (grid enumeration). */
 std::vector<CaseSpec> makeCampaignCases(const CampaignConfig& config);

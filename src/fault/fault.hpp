@@ -157,6 +157,8 @@ struct CaseResult {
     bool defended = false;
     /// True when injectAt/word were shrunk by the minimiser.
     bool minimized = false;
+    /// Machine cycles the victim executed.
+    std::uint64_t cycles = 0;
 };
 
 }  // namespace gecko::fault

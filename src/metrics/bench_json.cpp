@@ -9,6 +9,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "metrics/json.hpp"
+
 namespace gecko::metrics {
 
 namespace {
@@ -65,6 +67,29 @@ jsonEscape(const std::string& s)
     return out;
 }
 
+BenchCounters&
+BenchCounters::operator+=(const BenchCounters& other)
+{
+    for (std::size_t i = 0; i < kCount; ++i)
+        values[i] += other.values[i];
+    return *this;
+}
+
+void
+BenchCounters::write(std::ostream& os,
+                     const char* BenchCounterRow::*key) const
+{
+    for (const BenchCounterRow& row : kBenchCounters)
+        os << ",\"" << row.*key << "\":" << values[row.counter];
+}
+
+void
+BenchCounters::read(const JsonValue& record)
+{
+    for (const BenchCounterRow& row : kBenchCounters)
+        record.at(row.key, &values[row.counter]);
+}
+
 std::string
 BenchReport::toJson() const
 {
@@ -79,19 +104,14 @@ BenchReport::toJson() const
     if (serialWallS > 0)
         os << ",\"serial_wall_s\":" << num(serialWallS)
            << ",\"speedup\":" << num(speedup());
-    os << ",\"sim_cycles\":" << simCycles << ",\"sim_cycles_per_s\":"
-       << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0)
-       << ",\"quanta\":" << quanta
-       << ",\"sleep_quanta\":" << sleepQuanta
-       << ",\"coalesced_quanta\":" << coalescedQuanta
-       << ",\"fused_quanta\":" << fusedQuanta
-       << ",\"quanta_per_s\":"
-       << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
+    counters.write(os, &BenchCounterRow::key);
+    auto perS = [&](BenchCounters::Counter c) {
+        return num(wallS > 0 ? counters.values[c] / wallS : 0.0);
+    };
+    os << ",\"sim_cycles_per_s\":" << perS(BenchCounters::kSimCycles)
+       << ",\"quanta_per_s\":" << perS(BenchCounters::kQuanta);
     if (!status.empty())
         os << ",\"status\":\"" << jsonEscape(status) << "\"";
-    os << ",\"corrupted_restores\":" << corruptedRestores
-       << ",\"crc_rejects\":" << crcRejects
-       << ",\"retries_exhausted\":" << retriesExhausted;
     if (!traceOut.empty())
         os << ",\"trace_out\":\"" << jsonEscape(traceOut) << "\"";
     if (!figureData.empty())

@@ -1,7 +1,10 @@
 #ifndef GECKO_METRICS_BENCH_JSON_HPP_
 #define GECKO_METRICS_BENCH_JSON_HPP_
 
+#include <array>
 #include <cstdint>
+#include <iosfwd>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,10 +20,61 @@
  * compares against a recorded serial baseline.
  *
  * The format is intentionally small and flat; it is read back through
- * the strict parser of metrics/json.hpp.
+ * the strict parser of metrics/json.hpp.  kBenchCounters below is the
+ * one list of its per-run counters: the bench process accumulates,
+ * the record writes, and bench_all reads, sums and writes exactly the
+ * rows of that table, so a new counter is one new row.
  */
 
 namespace gecko::metrics {
+
+struct JsonValue;
+struct BenchCounterRow;
+
+/** One value per kBenchCounters row. */
+struct BenchCounters {
+    enum Counter : std::size_t {
+        kSimCycles, kQuanta, kSleepQuanta, kCoalescedQuanta, kFusedQuanta,
+        kCorruptedRestores, kCrcRejects, kRetriesExhausted, kCount
+    };
+    std::array<std::uint64_t, kCount> values{};
+
+    BenchCounters& operator+=(const BenchCounters& other);
+    /** Append `,"<key>":<value>` for every row, `key` selecting the
+     *  record key or the suite-total key of BenchCounterRow. */
+    void write(std::ostream& os, const char* BenchCounterRow::*key) const;
+    /** Read every row's record key from a parsed record; rows it lacks
+     *  (older schemas) are left as they are. */
+    void read(const JsonValue& record);
+};
+
+/** One per-run counter: its key in a bench record (and a bench_all
+ *  figure row) and in the bench_all suite totals. */
+struct BenchCounterRow {
+    const char* key;
+    BenchCounters::Counter counter;
+    const char* suiteKey;
+};
+
+/** The per-run counters of a bench record, in wire order: simulated
+ *  cycles, the quantum-loop counts (see the schema history below) and
+ *  runtime::RuntimeStats' integrity counters.  Per-run diagnostics,
+ *  kept apart from the archived campaign counters of
+ *  campaign/aggregate.cpp. */
+inline constexpr BenchCounterRow kBenchCounters[] = {
+    {"sim_cycles", BenchCounters::kSimCycles, "total_sim_cycles"},
+    {"quanta", BenchCounters::kQuanta, "total_quanta"},
+    {"sleep_quanta", BenchCounters::kSleepQuanta, "total_sleep_quanta"},
+    {"coalesced_quanta", BenchCounters::kCoalescedQuanta,
+     "total_coalesced_quanta"},
+    {"fused_quanta", BenchCounters::kFusedQuanta, "total_fused_quanta"},
+    {"corrupted_restores", BenchCounters::kCorruptedRestores,
+     "corrupted_restores"},
+    {"crc_rejects", BenchCounters::kCrcRejects, "crc_rejects"},
+    {"retries_exhausted", BenchCounters::kRetriesExhausted,
+     "retries_exhausted"},
+};
+static_assert(std::size(kBenchCounters) == BenchCounters::kCount);
 
 /** Telemetry of one runSweep call. */
 struct SweepRecord {
@@ -93,25 +147,11 @@ struct BenchReport {
     /// Recorded serial (1-thread) wall time for the same figure; 0
     /// when unknown.  Carried so speedup survives re-aggregation.
     double serialWallS = 0.0;
-    /// Simulated machine cycles executed across every victim run.
-    std::uint64_t simCycles = 0;
-    /// Monitor-sample quanta simulated across every victim run, and the
-    /// subset the fused kernel advanced with no tone active (schema v5).
-    std::uint64_t quanta = 0;
-    std::uint64_t coalescedQuanta = 0;
-    /// Monitor-sample quanta stepped while sleeping (schema v8).
-    std::uint64_t sleepQuanta = 0;
-    /// Running and sleeping quanta the fused kernel advanced under a
-    /// tone (schema v9).
-    std::uint64_t fusedQuanta = 0;
+    /// Per-run counters accumulated across every victim run.
+    BenchCounters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).
     std::string status;
-    /// Checkpoint-integrity defence counters accumulated across every
-    /// victim run of the bench (see runtime::RuntimeStats).
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t retriesExhausted = 0;
     /// Path of the event-trace file written for this run ("" = none).
     std::string traceOut;
     /// Raw per-figure JSON payload emitted verbatim as `figure_data`

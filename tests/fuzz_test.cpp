@@ -642,6 +642,7 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
                 EXPECT_EQ(r.defenseEscalations, ref.defenseEscalations)
                     << inj << " " << name;
                 EXPECT_EQ(r.defended, ref.defended) << inj << " " << name;
+                EXPECT_EQ(r.cycles, ref.cycles) << inj << " " << name;
                 EXPECT_TRUE(buffer.events() == refEvents)
                     << inj << " " << name
                     << " diverged in the trace stream ("
